@@ -68,7 +68,13 @@ ReflectionCopyValue::ReflectionCopyValue(const reflect::Object& response) {
 }
 
 reflect::Object ReflectionCopyValue::retrieve() const {
-  return reflect::deep_copy(stored_);  // copy on every hit (§3.1)
+  // Copy on every hit (§3.1).  The constructor already proved the type
+  // reflectable, so the hit skips deep_copy's gatekeeping walk.
+  if (!stored_) return {};
+  const reflect::TypeInfo& t = stored_.type();
+  std::shared_ptr<void> fresh = t.construct();
+  reflect::deep_assign(t, stored_.data(), fresh.get());
+  return reflect::Object(std::move(fresh), &t);
 }
 
 std::size_t ReflectionCopyValue::memory_size() const {

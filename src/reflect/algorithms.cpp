@@ -44,7 +44,7 @@ void copy_into(const TypeInfo& t, const void* src, void* dst) {
     }
     case Kind::Struct: {
       for (const FieldInfo& f : t.fields)
-        copy_into(*f.type, f.cptr(src), f.ptr(dst));
+        copy_into(*f.type, f.at(src), f.at(dst));
       return;
     }
   }
@@ -123,7 +123,7 @@ bool deep_equals(const Object& a, const Object& b) {
         }
         case Kind::Struct: {
           for (const FieldInfo& f : t.fields) {
-            if (!eq(*f.type, f.cptr(x), f.cptr(y))) return false;
+            if (!eq(*f.type, f.at(x), f.at(y))) return false;
           }
           return true;
         }
@@ -170,7 +170,7 @@ void to_string_append(const TypeInfo& t, const void* value, std::string& out) {
         first = false;
         out += f.name;
         out += '=';
-        to_string_append(*f.type, f.cptr(value), out);
+        to_string_append(*f.type, f.at(value), out);
       }
       out += '}';
       return;
@@ -218,7 +218,7 @@ std::size_t memory_size(const TypeInfo& t, const void* value) {
       total += t.shallow_size;
       for (const FieldInfo& f : t.fields) {
         // Field storage is inside shallow_size; add only owned heap.
-        total += memory_size(*f.type, f.cptr(value)) - f.type->shallow_size;
+        total += memory_size(*f.type, f.at(value)) - f.type->shallow_size;
       }
       return total;
     }

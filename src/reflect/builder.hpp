@@ -44,12 +44,16 @@ class StructBuilder {
   /// Register a field.  Declaration order is the SOAP serialization order.
   template <typename M>
   StructBuilder& field(std::string field_name, M T::* member) {
+    // The member's byte offset, read off a default-constructed probe: the
+    // same for every instance, and legal for non-standard-layout T where
+    // offsetof is not.
+    const T probe{};
     FieldInfo f;
     f.name = std::move(field_name);
     f.type = &type_of<M>();
-    f.ptr = [member](void* obj) -> void* {
-      return &(static_cast<T*>(obj)->*member);
-    };
+    f.offset = static_cast<std::size_t>(
+        reinterpret_cast<const char*>(&(probe.*member)) -
+        reinterpret_cast<const char*>(&probe));
     info_->fields.push_back(std::move(f));
     return *this;
   }

@@ -7,6 +7,7 @@
 // cache-value representation's job to deep-copy when required.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -57,6 +58,34 @@ class Object {
   T& as() const {
     require_type(&type_of<T>());
     return *static_cast<T*>(data_.get());
+  }
+
+  /// Checked typed extraction that consumes this handle: moves the value
+  /// out when this handle is the storage's only owner (a fresh object a
+  /// representation built for this caller alone), copies it otherwise (a
+  /// pass-by-reference entry still shared with the cache).  Either way the
+  /// caller owns the result and the storage is released.
+  template <typename T>
+  T take() && {
+    T& value = as<T>();
+    std::shared_ptr<void> storage = std::move(data_);
+    type_ = nullptr;
+    if (storage.use_count() == 1) {
+      // use_count() is a relaxed load.  Every former co-owner released its
+      // reference with a release decrement after its last access to the
+      // value; this acquire fence pairs with those decrements, so their
+      // reads and writes happen-before the move below.
+#if defined(__SANITIZE_THREAD__)
+      // ThreadSanitizer does not model fences.  Taking and dropping a
+      // reference is an acquire read-modify-write on the same counter,
+      // which gives it the same edge in a form it sees.
+      std::shared_ptr<void>(storage).reset();
+#else
+      std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+      return std::move(value);
+    }
+    return value;
   }
 
   /// Number of co-owners of the storage (used by tests to prove whether a

@@ -20,7 +20,7 @@ const TypeInfo& TypeRegistry::add(std::unique_ptr<TypeInfo> info) {
 
 const TypeInfo* TypeRegistry::find(std::string_view name) const {
   std::lock_guard lock(mu_);
-  auto it = types_.find(std::string(name));
+  auto it = types_.find(name);
   return it == types_.end() ? nullptr : it->second.get();
 }
 
@@ -71,61 +71,76 @@ const TypeInfo& register_once(TypeInfo&& proto) {
 
 }  // namespace
 
+// Each builtin's prototype is built inside its function-local static's
+// initializer, so only the first type_of<>() call pays for the name, the
+// std::function members and their captures; later calls are one guard
+// check and a load.
+
 const TypeInfo& builtin_bool() {
-  TypeInfo proto = make_primitive<bool>(
-      "boolean", Kind::Bool, true,
-      [](const bool& v) { return std::string(v ? "true" : "false"); });
-  proto.to_string_append_fn = [](const void* p, std::string& out) {
-    out += *static_cast<const bool*>(p) ? "true" : "false";
-  };
-  static const TypeInfo& t = register_once(std::move(proto));
+  static const TypeInfo& t = register_once([] {
+    TypeInfo proto = make_primitive<bool>(
+        "boolean", Kind::Bool, true,
+        [](const bool& v) { return std::string(v ? "true" : "false"); });
+    proto.to_string_append_fn = [](const void* p, std::string& out) {
+      out += *static_cast<const bool*>(p) ? "true" : "false";
+    };
+    return proto;
+  }());
   return t;
 }
 
 const TypeInfo& builtin_i32() {
-  TypeInfo proto = make_primitive<std::int32_t>(
-      "int", Kind::Int32, true,
-      [](const std::int32_t& v) { return std::to_string(v); });
-  proto.to_string_append_fn = [](const void* p, std::string& out) {
-    util::append_i64(out, *static_cast<const std::int32_t*>(p));
-  };
-  static const TypeInfo& t = register_once(std::move(proto));
+  static const TypeInfo& t = register_once([] {
+    TypeInfo proto = make_primitive<std::int32_t>(
+        "int", Kind::Int32, true,
+        [](const std::int32_t& v) { return std::to_string(v); });
+    proto.to_string_append_fn = [](const void* p, std::string& out) {
+      util::append_i64(out, *static_cast<const std::int32_t*>(p));
+    };
+    return proto;
+  }());
   return t;
 }
 
 const TypeInfo& builtin_i64() {
-  TypeInfo proto = make_primitive<std::int64_t>(
-      "long", Kind::Int64, true,
-      [](const std::int64_t& v) { return std::to_string(v); });
-  proto.to_string_append_fn = [](const void* p, std::string& out) {
-    util::append_i64(out, *static_cast<const std::int64_t*>(p));
-  };
-  static const TypeInfo& t = register_once(std::move(proto));
+  static const TypeInfo& t = register_once([] {
+    TypeInfo proto = make_primitive<std::int64_t>(
+        "long", Kind::Int64, true,
+        [](const std::int64_t& v) { return std::to_string(v); });
+    proto.to_string_append_fn = [](const void* p, std::string& out) {
+      util::append_i64(out, *static_cast<const std::int64_t*>(p));
+    };
+    return proto;
+  }());
   return t;
 }
 
 const TypeInfo& builtin_double() {
-  TypeInfo proto = make_primitive<double>(
-      "double", Kind::Double, true,
-      [](const double& v) { return util::format_double(v); });
-  proto.to_string_append_fn = [](const void* p, std::string& out) {
-    util::append_double(out, *static_cast<const double*>(p));
-  };
-  static const TypeInfo& t = register_once(std::move(proto));
+  static const TypeInfo& t = register_once([] {
+    TypeInfo proto = make_primitive<double>(
+        "double", Kind::Double, true,
+        [](const double& v) { return util::format_double(v); });
+    proto.to_string_append_fn = [](const void* p, std::string& out) {
+      util::append_double(out, *static_cast<const double*>(p));
+    };
+    return proto;
+  }());
   return t;
 }
 
 const TypeInfo& builtin_string() {
-  TypeInfo proto = make_primitive<std::string>(
-      "string", Kind::String, /*immutable=*/true,
-      [](const std::string& v) { return v; });
-  proto.to_string_append_fn = [](const void* p, std::string& out) {
-    out += *static_cast<const std::string*>(p);
-  };
-  proto.owned_heap_fn = [](const void* p) {
-    return static_cast<const std::string*>(p)->capacity();
-  };
-  static const TypeInfo& t = register_once(std::move(proto));
+  static const TypeInfo& t = register_once([] {
+    TypeInfo proto = make_primitive<std::string>(
+        "string", Kind::String, /*immutable=*/true,
+        [](const std::string& v) { return v; });
+    proto.to_string_append_fn = [](const void* p, std::string& out) {
+      out += *static_cast<const std::string*>(p);
+    };
+    proto.owned_heap_fn = [](const void* p) {
+      return static_cast<const std::string*>(p)->capacity();
+    };
+    return proto;
+  }());
   return t;
 }
 
@@ -133,12 +148,14 @@ const TypeInfo& builtin_bytes() {
   // byte[]: mutable, serializable, and (unlike String) reflection-copyable
   // as an "array-type object" (paper 4.2.3B) — but its toString is the
   // Java address-based default, so no to_string_fn.
-  TypeInfo proto = make_primitive<std::vector<std::uint8_t>>(
-      "base64Binary", Kind::Bytes, /*immutable=*/false, nullptr);
-  proto.owned_heap_fn = [](const void* p) {
-    return static_cast<const std::vector<std::uint8_t>*>(p)->capacity();
-  };
-  static const TypeInfo& t = register_once(std::move(proto));
+  static const TypeInfo& t = register_once([] {
+    TypeInfo proto = make_primitive<std::vector<std::uint8_t>>(
+        "base64Binary", Kind::Bytes, /*immutable=*/false, nullptr);
+    proto.owned_heap_fn = [](const void* p) {
+      return static_cast<const std::vector<std::uint8_t>*>(p)->capacity();
+    };
+    return proto;
+  }());
   return t;
 }
 

@@ -2,11 +2,18 @@
 //
 // Plays the role of the JVM's loaded-class table: registration happens once
 // per process (WSDL-generated types register in their service headers'
-// ensure-functions), lookups are lock-free after a type is published, and
-// `const TypeInfo*` pointers never dangle.
+// ensure-functions), and `const TypeInfo*` pointers never dangle.
+//
+// Locking: add(), find(), get() and type_names() all take one registry
+// mutex, because array types register lazily on first use and may do so
+// from any thread.  Hot paths avoid the mutex: type_of<T>() reads a
+// per-type static, and find() hashes the caller's
+// string_view directly, so a by-name lookup (reflect::deserialize on every
+// Serialized hit) costs a lock but builds no std::string.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,8 +45,18 @@ class TypeRegistry {
  private:
   TypeRegistry() = default;
 
+  /// Heterogeneous hashing, so find() probes with a string_view as is.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<TypeInfo>> types_;
+  std::unordered_map<std::string, std::unique_ptr<TypeInfo>, NameHash,
+                     std::equal_to<>>
+      types_;
 };
 
 namespace detail {

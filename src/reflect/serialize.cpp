@@ -42,7 +42,7 @@ void encode(const TypeInfo& t, const void* value, util::ByteWriter& out) {
     case Kind::Struct: {
       if (!t.traits.serializable)
         throw SerializationError("type '" + t.name + "' is not serializable");
-      for (const FieldInfo& f : t.fields) encode(*f.type, f.cptr(value), out);
+      for (const FieldInfo& f : t.fields) encode(*f.type, f.at(value), out);
       return;
     }
   }
@@ -79,7 +79,7 @@ void decode(const TypeInfo& t, void* value, util::ByteReader& in) {
     case Kind::Struct: {
       if (!t.traits.serializable)
         throw SerializationError("type '" + t.name + "' is not serializable");
-      for (const FieldInfo& f : t.fields) decode(*f.type, f.ptr(value), in);
+      for (const FieldInfo& f : t.fields) decode(*f.type, f.at(value), in);
       return;
     }
   }
@@ -113,8 +113,7 @@ Object deserialize(std::span<const std::uint8_t> bytes) {
   }
   if (marker != kObjectMarker)
     throw ParseError("bad serialization stream marker");
-  std::string type_name = in.read_string();
-  const TypeInfo& t = TypeRegistry::instance().get(type_name);
+  const TypeInfo& t = TypeRegistry::instance().get(in.read_string_view());
   if (!t.construct)
     throw SerializationError("type '" + t.name + "' is not constructible");
   std::shared_ptr<void> fresh = t.construct();

@@ -15,6 +15,7 @@
 // types may lack any of them, producing the "n/a" cells of Table 7.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,16 +39,19 @@ const char* kind_name(Kind k);
 
 class TypeInfo;
 
-/// One reflectable field of a struct type.  `ptr` resolves the field's
-/// address inside an instance; generic algorithms then interpret it through
-/// `type`.
+/// One reflectable field of a struct type.  `offset` is the member's byte
+/// offset inside an instance; `at()` resolves the field's address, and
+/// generic algorithms then interpret it through `type`.
 struct FieldInfo {
   std::string name;
   const TypeInfo* type = nullptr;
-  std::function<void*(void*)> ptr;
+  std::size_t offset = 0;
 
-  const void* cptr(const void* obj) const {
-    return ptr(const_cast<void*>(obj));
+  void* at(void* obj) const noexcept {
+    return static_cast<char*>(obj) + offset;
+  }
+  const void* at(const void* obj) const noexcept {
+    return static_cast<const char*>(obj) + offset;
   }
 };
 

@@ -24,39 +24,40 @@ GoogleClient::GoogleClient(std::shared_ptr<transport::Transport> transport,
               std::move(options)) {}
 
 std::string GoogleClient::doSpellingSuggestion(const std::string& phrase) {
-  Object result = client_.invoke(
-      "doSpellingSuggestion",
-      {Parameter{"key", Object::make(key_)}, Parameter{"phrase", Object::make(phrase)}});
-  return result.as<std::string>();
+  return client_
+      .invoke("doSpellingSuggestion", {Parameter{"key", Object::make(key_)},
+                                       Parameter{"phrase", Object::make(phrase)}})
+      .take<std::string>();
 }
 
 std::vector<std::uint8_t> GoogleClient::doGetCachedPage(const std::string& url) {
-  Object result = client_.invoke(
-      "doGetCachedPage",
-      {Parameter{"key", Object::make(key_)}, Parameter{"url", Object::make(url)}});
-  return result.as<std::vector<std::uint8_t>>();
+  return client_
+      .invoke("doGetCachedPage", {Parameter{"key", Object::make(key_)},
+                                  Parameter{"url", Object::make(url)}})
+      .take<std::vector<std::uint8_t>>();
 }
 
 GoogleSearchResult GoogleClient::doGoogleSearch(
     const std::string& q, std::int32_t start, std::int32_t max_results,
     bool filter, const std::string& restrict, bool safe_search,
     const std::string& lr, const std::string& ie, const std::string& oe) {
-  Object result = client_.invoke(
-      "doGoogleSearch",
-      {Parameter{"key", Object::make(key_)},
-       Parameter{"q", Object::make(q)},
-       Parameter{"start", Object::make(start)},
-       Parameter{"maxResults", Object::make(max_results)},
-       Parameter{"filter", Object::make(filter)},
-       Parameter{"restrict", Object::make(restrict)},
-       Parameter{"safeSearch", Object::make(safe_search)},
-       Parameter{"lr", Object::make(lr)},
-       Parameter{"ie", Object::make(ie)},
-       Parameter{"oe", Object::make(oe)}});
-  // The stub returns by value: for Reference-cached entries this copy is
-  // the application's own; mutating it cannot corrupt the cache.  Callers
-  // needing zero-copy semantics use middleware().invoke() directly.
-  return result.as<GoogleSearchResult>();
+  // take() hands the application its own value either way: it moves out
+  // of the object a copying representation just built for this call, and
+  // copies out of a pass-by-reference entry the cache still shares.
+  // Callers needing zero-copy semantics use middleware().invoke() directly.
+  return client_
+      .invoke("doGoogleSearch",
+              {Parameter{"key", Object::make(key_)},
+               Parameter{"q", Object::make(q)},
+               Parameter{"start", Object::make(start)},
+               Parameter{"maxResults", Object::make(max_results)},
+               Parameter{"filter", Object::make(filter)},
+               Parameter{"restrict", Object::make(restrict)},
+               Parameter{"safeSearch", Object::make(safe_search)},
+               Parameter{"lr", Object::make(lr)},
+               Parameter{"ie", Object::make(ie)},
+               Parameter{"oe", Object::make(oe)}})
+      .take<GoogleSearchResult>();
 }
 
 }  // namespace wsc::services::google

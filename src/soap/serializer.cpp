@@ -66,7 +66,7 @@ void write_value_impl(xml::Writer& w, const std::string& elem_name,
     case Kind::Struct:
       w.attribute("xsi:type", "ns1:" + t.name);
       for (const reflect::FieldInfo& f : t.fields)
-        write_value_impl(w, f.name, *f.type, f.cptr(value),
+        write_value_impl(w, f.name, *f.type, f.at(value),
                          /*typed=*/!f.type->is_primitive());
       break;
     case Kind::Array: {
@@ -188,7 +188,7 @@ class MultirefWriter {
       if (t.is_struct()) {
         w_.attribute("xsi:type", "ns1:" + t.name);
         for (const reflect::FieldInfo& f : t.fields)
-          write_site(f.name, *f.type, f.cptr(job.value),
+          write_site(f.name, *f.type, f.at(job.value),
                      /*typed=*/false);
       } else {  // array
         std::size_t n = t.array_size(job.value);

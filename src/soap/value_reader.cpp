@@ -63,7 +63,7 @@ void ValueReader::start_element(const xml::QName& name,
                          "' has no field '" + name.local + "'");
       std::size_t index =
           static_cast<std::size_t>(f - top.type->fields.data());
-      frames_.push_back({f->type, f->ptr(top.target), index, {}, {}});
+      frames_.push_back({f->type, f->at(top.target), index, {}, {}});
       break;
     }
     case Kind::Array: {
@@ -168,7 +168,7 @@ void ValueReader::resolve_pending(RefResolver& resolver) {
     for (std::size_t step : pending.path) {
       if (t->is_struct()) {
         const reflect::FieldInfo& f = t->fields.at(step);
-        target = f.ptr(target);
+        target = f.at(target);
         t = f.type;
       } else if (t->is_array()) {
         if (step >= t->array_size(target))

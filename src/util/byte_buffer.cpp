@@ -109,10 +109,10 @@ std::uint64_t ByteReader::read_varint() {
   }
 }
 
-std::string ByteReader::read_string() {
+std::string_view ByteReader::read_string_view() {
   std::uint64_t n = read_varint();
   require(n);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
+  std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_), n);
   pos_ += n;
   return s;
 }

@@ -66,7 +66,9 @@ class ByteReader {
   double read_f64();
   bool read_bool() { return read_u8() != 0; }
   std::uint64_t read_varint();
-  std::string read_string();
+  std::string read_string() { return std::string(read_string_view()); }
+  /// Same wire form as read_string(), as a view into the borrowed range.
+  std::string_view read_string_view();
   std::vector<std::uint8_t> read_bytes();
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }

@@ -9,33 +9,11 @@
 // the measuring test so the other suites in this binary are unaffected.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "core/cache_key.hpp"
 #include "core/response_cache.hpp"
 #include "reflect/object.hpp"
+#include "tests/core/alloc_counter.hpp"
 #include "tests/reflect/test_types.hpp"
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::size_t> g_alloc_count{0};
-
-void* counted_alloc(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed))
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace wsc::cache {
 namespace {
@@ -113,15 +91,13 @@ TEST(KeygenScratchTest, SteadyStateHitPathDoesNotAllocate) {
     ASSERT_NE(cache.lookup(scratch.ref()), nullptr);
   }
 
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  testing::arm_alloc_counter();
   for (int i = 0; i < 64; ++i) {
     gen.generate_into(req, scratch);
     auto hit = cache.lookup(scratch.ref());
     if (hit == nullptr) break;  // would allocate in the assert below anyway
   }
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0u)
+  EXPECT_EQ(testing::disarm_alloc_counter(), 0u)
       << "steady-state generate_into + ref lookup must not touch the heap";
 }
 

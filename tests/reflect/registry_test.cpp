@@ -55,9 +55,10 @@ TEST_F(RegistryFixture, RegisteredStructDescribesFields) {
 TEST_F(RegistryFixture, FieldAccessorsResolveAddresses) {
   Point p{3, 4, "hi"};
   const TypeInfo& t = type_of<Point>();
-  EXPECT_EQ(*static_cast<std::int32_t*>(t.field("x")->ptr(&p)), 3);
-  EXPECT_EQ(*static_cast<const std::string*>(t.field("label")->cptr(&p)), "hi");
-  *static_cast<std::int32_t*>(t.field("y")->ptr(&p)) = 99;
+  EXPECT_EQ(*static_cast<std::int32_t*>(t.field("x")->at(&p)), 3);
+  const Point& cp = p;
+  EXPECT_EQ(*static_cast<const std::string*>(t.field("label")->at(&cp)), "hi");
+  *static_cast<std::int32_t*>(t.field("y")->at(&p)) = 99;
   EXPECT_EQ(p.y, 99);
 }
 

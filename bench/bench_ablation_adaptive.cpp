@@ -325,7 +325,7 @@ int main(int argc, char** argv) {
 
   std::vector<Variant> variants = {
       {"fixed/XML_message", cache::Representation::XmlMessage},
-      {"fixed/SAX_compact", cache::Representation::SaxEventsCompact},
+      {"fixed/SAX_events", cache::Representation::SaxEvents},
       {"fixed/Serialized", cache::Representation::Serialized},
       {"fixed/Reflection", cache::Representation::ReflectionCopy},
       {"static_auto", cache::Representation::Auto},
@@ -398,7 +398,7 @@ int main(int argc, char** argv) {
     const std::vector<cache::Representation> applicable = {
         cache::Representation::Serialized,
         cache::Representation::ReflectionCopy,
-        cache::Representation::SaxEventsCompact};
+        cache::Representation::SaxEvents};
     std::string t;
     for (int i = 0; i < 200; ++i) {
       const cache::AdaptivePolicy::Choice choice = policy.choose(

@@ -57,11 +57,10 @@ void register_all() {
     };
     add("Auto", kAuto);
     add("AutoPreferClone", kAutoPreferClone);
-    for (Representation rep :
-         {Representation::XmlMessage, Representation::SaxEvents,
-          Representation::SaxEventsCompact, Representation::Serialized,
-          Representation::ReflectionCopy, Representation::CloneCopy}) {
-      if (!cache::applicable(rep, c.response_object.type(), false)) continue;
+    for (Representation rep : cache::kConcreteRepresentations) {
+      if (rep == Representation::Reference ||
+          !cache::applicable(rep, c.response_object.type(), false))
+        continue;
       std::string tag(cache::representation_name(rep));
       for (char& ch : tag) {
         if (ch == ' ') ch = '_';

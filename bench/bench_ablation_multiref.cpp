@@ -35,12 +35,9 @@ const Forms& forms() {
     out.multiref_form.response_xml = soap::serialize_response_multiref(
         *out.multiref_form.op, "urn:GoogleSearch",
         out.multiref_form.response_object);
-    xml::EventRecorder recorder;
-    xml::CompactEventRecorder compact_recorder;
-    xml::TeeHandler tee(recorder, compact_recorder);
-    xml::SaxParser{}.parse(out.multiref_form.response_xml, tee);
+    xml::CompactEventRecorder recorder;
+    xml::SaxParser{}.parse(out.multiref_form.response_xml, recorder);
     out.multiref_form.response_events = recorder.take();
-    out.multiref_form.response_compact_events = compact_recorder.take();
     return out;
   }();
   return f;
@@ -71,9 +68,11 @@ int main(int argc, char** argv) {
 
   using cache::Representation;
   for (int multiref : {0, 1}) {
-    for (Representation rep :
-         {Representation::XmlMessage, Representation::SaxEvents,
-          Representation::SaxEventsCompact, Representation::ReflectionCopy}) {
+    for (Representation rep : cache::kConcreteRepresentations) {
+      if (rep == Representation::Reference ||
+          !cache::applicable(rep, forms().inline_form.response_object.type(),
+                             false))
+        continue;
       std::string tag(cache::representation_name(rep));
       for (char& ch : tag) {
         if (ch == ' ') ch = '_';

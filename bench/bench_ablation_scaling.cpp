@@ -65,11 +65,7 @@ void BM_Scaling(benchmark::State& state) {
 int main(int argc, char** argv) {
   using cache::Representation;
   for (std::int64_t results : {1, 5, 10, 20, 50}) {
-    for (Representation rep :
-         {Representation::XmlMessage, Representation::SaxEvents,
-          Representation::SaxEventsCompact, Representation::Serialized,
-          Representation::ReflectionCopy, Representation::CloneCopy,
-          Representation::Reference}) {
+    for (Representation rep : cache::kConcreteRepresentations) {
       std::string tag(cache::representation_name(rep));
       for (char& ch : tag) {
         if (ch == ' ') ch = '_';

@@ -14,10 +14,10 @@
 // representations whose limitations exclude the type (they are skipped
 // here, as in the paper).
 //
-// Beyond the paper: the "SAX events compact" row replays the arena-backed
-// interned recording — same universality as SAX events, expected strictly
-// faster (zero allocations per replayed event).  Results are also written
-// to BENCH_table7.json (row -> ns_per_op) for cross-PR tracking.
+// Beyond the paper: the "SAX events sequence" row replays the arena-backed
+// interned recording (zero allocations per replayed event).  Results are
+// also written to BENCH_table7.json (row -> ns_per_op) for cross-PR
+// tracking.
 // With --trace the google-benchmark run is replaced by a live middleware
 // pipeline (in-process transport + dummy Google service) driven through
 // CachingServiceClient with the process tracer enabled; the per-stage
@@ -25,8 +25,6 @@
 // printed and the aggregate stage sum is required to stay within 10% of
 // the traced end-to-end latency.
 #include <benchmark/benchmark.h>
-
-#include <array>
 
 #include "bench/common.hpp"
 #include "bench/trace_report.hpp"
@@ -64,11 +62,7 @@ void BM_Retrieve(benchmark::State& state) {
 void register_all() {
   using cache::Representation;
   for (int op = 0; op < 3; ++op) {
-    for (Representation rep :
-         {Representation::XmlMessage, Representation::SaxEvents,
-          Representation::SaxEventsCompact, Representation::Serialized,
-          Representation::ReflectionCopy, Representation::CloneCopy,
-          Representation::Reference}) {
+    for (Representation rep : cache::kConcreteRepresentations) {
       const auto& c = cases()[static_cast<std::size_t>(op)];
       // Table 7 n/a cells: skip representations the type cannot support
       // (read_only declared true, matching the paper's reference row).
@@ -118,13 +112,8 @@ int run_traced(int iters) {
   const std::string endpoint = "inproc://services/google";
   transport->bind(endpoint, services::google::make_google_service(backend));
 
-  for (int rep_i = 0; rep_i < 7; ++rep_i) {
-    using cache::Representation;
-    Representation rep = std::array{
-        Representation::XmlMessage,    Representation::SaxEvents,
-        Representation::SaxEventsCompact, Representation::Serialized,
-        Representation::ReflectionCopy, Representation::CloneCopy,
-        Representation::Reference}[static_cast<std::size_t>(rep_i)];
+  using cache::Representation;
+  for (Representation rep : cache::kConcreteRepresentations) {
     for (const OperationCase& c : cases()) {
       // Same n/a-cell skip rule as the benchmark registration above.
       if (rep != Representation::Reference &&

@@ -10,11 +10,10 @@
 // ("the size of the object is not very different for the different data
 // representations").
 //
-// Beyond the paper: the two SAX rows compare the legacy string-soup
-// EventSequence against the compact arena form under the (now honest)
-// memory_size() accounting; the compact form must cost at most half the
-// legacy bytes on the GoogleSearch fixture.  All rows are also written to
-// BENCH_table9.json (row -> bytes_per_entry) for cross-PR tracking.
+// Beyond the paper: the "SAX events sequence" row reports the compact
+// arena recording the cache stores, under the honest memory_size()
+// accounting.  All rows are also written to BENCH_table9.json
+// (row -> bytes_per_entry) for cross-PR tracking.
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -38,14 +37,13 @@ int main() {
   const int paper_obj[3] = {28, 3600, 464};
 
   BenchJson json;
-  std::size_t xml[3], ser[3], obj[3], sax[3], sax_compact[3];
+  std::size_t xml[3], ser[3], obj[3], sax[3];
   for (int i = 0; i < 3; ++i) {
     const OperationCase& c = cases[static_cast<std::size_t>(i)];
     xml[i] = c.response_xml.size();
     ser[i] = reflect::serialize(c.response_object).size();
     obj[i] = reflect::memory_size(c.response_object);
     sax[i] = c.response_events.memory_size();
-    sax_compact[i] = c.response_compact_events.memory_size();
     json.add("XML message/" + c.op_name, "bytes_per_entry",
              static_cast<double>(xml[i]));
     json.add("Serialized form/" + c.op_name, "bytes_per_entry",
@@ -54,8 +52,6 @@ int main() {
              static_cast<double>(obj[i]));
     json.add("SAX events sequence/" + c.op_name, "bytes_per_entry",
              static_cast<double>(sax[i]));
-    json.add("SAX events compact/" + c.op_name, "bytes_per_entry",
-             static_cast<double>(sax_compact[i]));
   }
 
   auto print_row = [&](const char* label, const std::size_t* measured,
@@ -73,7 +69,6 @@ int main() {
   print_row("Java serialized form", ser, paper_ser);
   print_row("Java object", obj, paper_obj);
   print_row("SAX events sequence", sax, nullptr);
-  print_row("SAX events compact", sax_compact, nullptr);
 
   // Shape checks: XML dominates the serialized form for Spelling and
   // GoogleSearch and exceeds the in-memory object; all three
@@ -88,15 +83,6 @@ int main() {
       "\nshape check (XML >> object except byte-array CachedPage): %s\n",
       ok ? "PASS" : "FAIL");
 
-  // Compact-representation claim: at most half the legacy SAX bytes on the
-  // GoogleSearch fixture (and never larger on any fixture).
-  double compact_ratio =
-      static_cast<double>(sax_compact[2]) / static_cast<double>(sax[2]);
-  bool compact_ok = compact_ratio <= 0.5;
-  for (int i = 0; i < 3; ++i) compact_ok = compact_ok && sax_compact[i] <= sax[i];
-  std::printf("compact SAX vs legacy on GoogleSearch: %.1f%% (%s)\n",
-              compact_ratio * 100.0, compact_ok ? "PASS <= 50%" : "FAIL");
-
   json.write_file("BENCH_table9.json");
-  return ok && compact_ok ? 0 : 1;
+  return ok ? 0 : 1;
 }

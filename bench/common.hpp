@@ -15,7 +15,6 @@
 #include "services/google/service.hpp"
 #include "soap/serializer.hpp"
 #include "xml/compact_event_sequence.hpp"
-#include "xml/event_sequence.hpp"
 #include "xml/sax_parser.hpp"
 
 namespace wsc::bench {
@@ -23,10 +22,9 @@ namespace wsc::bench {
 using reflect::Object;
 
 /// Per-iteration scratch for representations that consume their capture
-/// (both SAX forms move the recording into the CachedValue).
+/// (the SAX representation moves the recording into the CachedValue).
 struct CaptureScratch {
-  xml::EventSequence events;
-  xml::CompactEventSequence compact_events;
+  xml::CompactEventSequence events;
 };
 
 /// One §5.1 operation: its request (for Tables 6/8) and its captured
@@ -37,17 +35,14 @@ struct OperationCase {
   soap::RpcRequest request;
   std::shared_ptr<const wsdl::OperationInfo> op;
   std::string response_xml;
-  xml::EventSequence response_events;
-  xml::CompactEventSequence response_compact_events;
+  xml::CompactEventSequence response_events;
   Object response_object;
 
   cache::ResponseCapture capture_copy(CaptureScratch& scratch) const {
-    scratch.events = response_events;  // fresh copies; the value consumes
-    scratch.compact_events = response_compact_events;
+    scratch.events = response_events;  // a fresh copy; the value consumes it
     cache::ResponseCapture c;
     c.response_xml = &response_xml;
     c.events = &scratch.events;
-    c.compact_events = &scratch.compact_events;
     c.object = response_object;
     c.op = op;
     return c;
@@ -69,12 +64,9 @@ inline OperationCase make_case(const char* display, const char* op_name,
   c.response_object = std::move(response);
   c.response_xml =
       soap::serialize_response(*c.op, "urn:GoogleSearch", c.response_object);
-  xml::EventRecorder recorder;
-  xml::CompactEventRecorder compact_recorder;
-  xml::TeeHandler tee(recorder, compact_recorder);
-  xml::SaxParser{}.parse(c.response_xml, tee);
+  xml::CompactEventRecorder recorder;
+  xml::SaxParser{}.parse(c.response_xml, recorder);
   c.response_events = recorder.take();
-  c.response_compact_events = compact_recorder.take();
   return c;
 }
 

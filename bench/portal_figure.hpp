@@ -46,19 +46,6 @@ inline cache::CachePolicy figure_policy(cache::Representation rep) {
   return policy;
 }
 
-inline const std::vector<cache::Representation>& figure_representations() {
-  static const std::vector<cache::Representation> reps = {
-      cache::Representation::XmlMessage,
-      cache::Representation::SaxEvents,
-      cache::Representation::SaxEventsCompact,
-      cache::Representation::Serialized,
-      cache::Representation::ReflectionCopy,
-      cache::Representation::CloneCopy,
-      cache::Representation::Reference,
-  };
-  return reps;
-}
-
 struct FigurePoint {
   cache::Representation rep;
   int hit_percent;
@@ -97,7 +84,7 @@ inline std::vector<FigurePoint> run_portal_figure(int concurrency,
   std::string backend_endpoint = soap_server->base_url() + "/soap/google";
 
   std::vector<FigurePoint> points;
-  for (cache::Representation rep : figure_representations()) {
+  for (cache::Representation rep : cache::kConcreteRepresentations) {
     for (int hit = 0; hit <= 100; hit += 20) {
       portal::PortalConfig config;
       config.backend_endpoint = backend_endpoint;
@@ -136,7 +123,7 @@ inline std::vector<FigurePoint> run_portal_figure(int concurrency,
   std::printf("\n%s summary: 100%%-hit vs 0%%-hit\n", figure_name);
   std::printf("%-22s %12s %14s\n", "representation", "throughput_x",
               "resp_time_1/x");
-  for (cache::Representation rep : figure_representations()) {
+  for (cache::Representation rep : cache::kConcreteRepresentations) {
     double t0 = 0, t100 = 0, m0 = 0, m100 = 0;
     for (const FigurePoint& p : points) {
       if (p.rep != rep) continue;

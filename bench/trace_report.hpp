@@ -28,7 +28,7 @@ inline bool trace_requested(int argc, char** argv) {
 inline double print_trace_breakdown(const obs::TraceSummary& summary,
                                     std::uint64_t min_calls = 1) {
   std::printf("\n--trace: mean per-stage breakdown (ns/call)\n");
-  std::printf("%-22s %-18s %-12s %8s", "operation", "representation",
+  std::printf("%-22s %-19s %-12s %8s", "operation", "representation",
               "outcome", "calls");
   for (std::size_t i = 0; i < obs::kStageCount; ++i)
     std::printf(" %11s",
@@ -40,7 +40,7 @@ inline double print_trace_breakdown(const obs::TraceSummary& summary,
     if (g.calls < min_calls) continue;
     const double total = g.mean_total_ns();
     const double stage_sum = g.mean_stage_sum_ns();
-    std::printf("%-22s %-18s %-12s %8llu", g.labels.operation.c_str(),
+    std::printf("%-22s %-19s %-12s %8llu", g.labels.operation.c_str(),
                 g.labels.representation.empty()
                     ? "-"
                     : g.labels.representation.c_str(),

@@ -22,24 +22,12 @@ std::size_t XmlMessageValue::memory_size() const {
 
 reflect::Object SaxEventsValue::retrieve() const {
   // Replay events into the same ResponseReader the live parser feeds; only
-  // the tokenizer is skipped (§4.2.2).
+  // the tokenizer is skipped (§4.2.2).  The walk is over flat records and
+  // the views it hands out point into the arena: zero allocations per event.
   return soap::read_response(events_, *op_);
 }
 
 std::size_t SaxEventsValue::memory_size() const {
-  return sizeof(*this) - sizeof(xml::EventSequence) + events_.memory_size();
-}
-
-// --- CompactSaxEventsValue ---------------------------------------------------
-
-reflect::Object CompactSaxEventsValue::retrieve() const {
-  // Identical replay path to SaxEventsValue — the deserializer cannot tell
-  // the sources apart — but the walk is over flat records and the views it
-  // hands out point into the arena: zero allocations per event.
-  return soap::read_response(events_, *op_);
-}
-
-std::size_t CompactSaxEventsValue::memory_size() const {
   return sizeof(*this) - sizeof(xml::CompactEventSequence) +
          events_.memory_size();
 }
@@ -115,12 +103,6 @@ std::unique_ptr<CachedValue> make_cached_value(Representation representation,
         throw Error("SaxEventsValue needs recorded parse events");
       return std::make_unique<SaxEventsValue>(std::move(*capture.events),
                                               capture.op);
-    case Representation::SaxEventsCompact:
-      if (!capture.compact_events || !capture.op)
-        throw Error(
-            "CompactSaxEventsValue needs a compact parse recording");
-      return std::make_unique<CompactSaxEventsValue>(
-          std::move(*capture.compact_events), capture.op);
     case Representation::Serialized:
       return std::make_unique<SerializedValue>(capture.object);
     case Representation::ReflectionCopy:

@@ -23,7 +23,6 @@
 #include "reflect/object.hpp"
 #include "wsdl/description.hpp"
 #include "xml/compact_event_sequence.hpp"
-#include "xml/event_sequence.hpp"
 #include "xml/sax_parser.hpp"
 
 namespace wsc::cache {
@@ -60,37 +59,19 @@ class XmlMessageValue final : public CachedValue {
   std::shared_ptr<const wsdl::OperationInfo> op_;
 };
 
-/// Stores the recorded SAX events of the response parse.
+/// Stores the recorded parse events in the compact arena form: interned
+/// names/attribute lists, one contiguous text arena, flat event records.
+/// A hit replays them into the deserializer with zero allocations per
+/// event (§4.2.2).
 class SaxEventsValue final : public CachedValue {
  public:
-  SaxEventsValue(xml::EventSequence events,
+  SaxEventsValue(xml::CompactEventSequence events,
                  std::shared_ptr<const wsdl::OperationInfo> op)
       : events_(std::move(events)), op_(std::move(op)) {}
 
   reflect::Object retrieve() const override;
   Representation representation() const override {
     return Representation::SaxEvents;
-  }
-  std::size_t memory_size() const override;
-
- private:
-  xml::EventSequence events_;
-  std::shared_ptr<const wsdl::OperationInfo> op_;
-};
-
-/// Stores the recorded parse events in the compact arena form: interned
-/// names/attribute lists, one contiguous text arena, flat event records.
-/// Same replay path as SaxEventsValue but zero allocations per event and a
-/// fraction of the bytes (the Table 9 entry the byte budget now charges).
-class CompactSaxEventsValue final : public CachedValue {
- public:
-  CompactSaxEventsValue(xml::CompactEventSequence events,
-                        std::shared_ptr<const wsdl::OperationInfo> op)
-      : events_(std::move(events)), op_(std::move(op)) {}
-
-  reflect::Object retrieve() const override;
-  Representation representation() const override {
-    return Representation::SaxEventsCompact;
   }
   std::size_t memory_size() const override;
 
@@ -167,9 +148,7 @@ class ReferenceValue final : public CachedValue {
 /// the parse, and `object` with the deserialized result.
 struct ResponseCapture {
   const std::string* response_xml = nullptr;
-  xml::EventSequence* events = nullptr;  // consumed (moved from) if used
-  /// Compact recording; consumed (moved from) if used.
-  xml::CompactEventSequence* compact_events = nullptr;
+  xml::CompactEventSequence* events = nullptr;  // consumed (moved from)
   reflect::Object object;
   /// Co-owned so cache entries outlive any one client stub (aliased into
   /// the owning ServiceDescription).

@@ -161,7 +161,7 @@ reflect::Object CachingServiceClient::invoke(
   if (!options_.caching_enabled || !policy.cacheable) {
     cache_->counters().on_uncacheable();
     trace.set_outcome(obs::Outcome::Uncacheable);
-    return remote_call(trace, request, op, RecordMode::None).object;
+    return remote_call(trace, request, op, /*record_events=*/false).object;
   }
 
   // Cost-profile hit sampling: every profile_sample_every-th cacheable
@@ -290,6 +290,7 @@ reflect::Object CachingServiceClient::invoke(
   const ResolvedRepresentation resolved =
       resolve_representation(policy, op, operation);
   const Representation rep = resolved.representation;
+  const bool record_events = rep == Representation::SaxEvents;
   trace.set_representation(representation_name(rep));
 
   // Single-flight: join (or open) this key's in-flight call.  First joiner
@@ -356,8 +357,7 @@ reflect::Object CachingServiceClient::invoke(
 
   CallResult result;
   try {
-    result =
-        remote_call(trace, request, op, record_mode_for(rep), revalidate_since);
+    result = remote_call(trace, request, op, record_events, revalidate_since);
 
     if (result.not_modified) {
       // 304: the stale representation is still current — renew its lease
@@ -371,7 +371,7 @@ reflect::Object CachingServiceClient::invoke(
         }
       }
       // The entry was evicted while we revalidated: refetch unconditionally.
-      result = remote_call(trace, request, op, record_mode_for(rep));
+      result = remote_call(trace, request, op, record_events);
     }
   } catch (const HttpError& error) {
     // Broadcast the failure BEFORE degrading locally: followers wake with
@@ -415,7 +415,6 @@ reflect::Object CachingServiceClient::invoke(
     ResponseCapture capture;
     capture.response_xml = &result.response_xml;
     capture.events = &result.events;
-    capture.compact_events = &result.compact_events;
     capture.object = result.object;
     capture.op = share_op(op);
     // Store cost for the profile = representation capture + cache insert
@@ -498,28 +497,21 @@ void CachingServiceClient::run_probe(const wsdl::OperationInfo& op,
   obs::CostProfiles* const profiles = options_.profiles.get();
   if (!profiles) return;
   try {
-    // The serving store may have CONSUMED the teed event sequences
-    // (ResponseCapture moves from them), and a SAX probe under a
-    // non-SAX serving representation never had them — so SAX probes
-    // re-record from the kept response text.  The re-parse is untimed:
-    // the serving path's store cost does not include its tee either
-    // (recording rides the Parse stage there), so probe and serving
-    // samples stay comparable.
-    xml::EventSequence events;
-    xml::CompactEventSequence compact_events;
+    // The serving store may have CONSUMED the teed event sequence
+    // (ResponseCapture moves from it), and a SAX probe under a non-SAX
+    // serving representation never had it — so SAX probes re-record from
+    // the kept response text.  The re-parse is untimed: the serving path's
+    // store cost does not include its tee either (recording rides the
+    // Parse stage there), so probe and serving samples stay comparable.
+    xml::CompactEventSequence events;
     if (probe == Representation::SaxEvents) {
-      xml::EventRecorder recorder;
-      xml::SaxParser{}.parse(result.response_xml, recorder);
-      events = recorder.take();
-    } else if (probe == Representation::SaxEventsCompact) {
       xml::CompactEventRecorder recorder;
       xml::SaxParser{}.parse(result.response_xml, recorder);
-      compact_events = recorder.take();
+      events = recorder.take();
     }
     ResponseCapture capture;
     capture.response_xml = &result.response_xml;
     capture.events = &events;
-    capture.compact_events = &compact_events;
     capture.object = result.object;
     capture.op = share_op(op);
     // What a store of this representation would cost...
@@ -581,13 +573,13 @@ std::shared_ptr<const CachedValue> CachingServiceClient::perform_refresh(
   const ResolvedRepresentation resolved =
       resolve_representation(policy, op, operation);
   const Representation rep = resolved.representation;
+  const bool record_events = rep == Representation::SaxEvents;
   trace.set_representation(representation_name(rep));
   std::optional<std::chrono::seconds> since;
   if (policy.revalidate)
     since = cache_->lookup_allow_stale(key).last_modified;
 
-  CallResult result = remote_call(trace, request, op, record_mode_for(rep),
-                                  since);
+  CallResult result = remote_call(trace, request, op, record_events, since);
   if (result.not_modified) {
     // 304: renew the lease (re-arming the soft TTL) and hand the still-
     // current value to any flight followers.
@@ -595,7 +587,7 @@ std::shared_ptr<const CachedValue> CachingServiceClient::perform_refresh(
       trace.set_outcome(obs::Outcome::Revalidated);
       return cache_->lookup_allow_stale(key).value;
     }
-    result = remote_call(trace, request, op, record_mode_for(rep));
+    result = remote_call(trace, request, op, record_events);
   }
 
   trace.set_outcome(obs::Outcome::Miss);
@@ -607,7 +599,6 @@ std::shared_ptr<const CachedValue> CachingServiceClient::perform_refresh(
   ResponseCapture capture;
   capture.response_xml = &result.response_xml;
   capture.events = &result.events;
-  capture.compact_events = &result.compact_events;
   capture.object = result.object;
   capture.op = share_op(op);
   obs::CostProfiles* const profiles = options_.profiles.get();
@@ -654,7 +645,7 @@ std::optional<reflect::Object> CachingServiceClient::serve_stale_on_error(
 
 CachingServiceClient::CallResult CachingServiceClient::remote_call(
     obs::CallTrace& trace, const soap::RpcRequest& request,
-    const wsdl::OperationInfo& op, RecordMode record,
+    const wsdl::OperationInfo& op, bool record_events,
     std::optional<std::chrono::seconds> if_modified_since) {
   CallResult out;
   transport::WireRequest wire_request;
@@ -695,18 +686,13 @@ CachingServiceClient::CallResult CachingServiceClient::remote_call(
   soap::ResponseReader reader(op);
   {
     obs::StageTimer timer(trace, obs::Stage::Parse);
-    if (record == RecordMode::Legacy) {
-      // One parse feeds both the deserializer and the recorder (miss path
-      // of the SAX representations never tokenizes twice).
-      xml::EventRecorder recorder;
-      xml::TeeHandler tee(reader, recorder);
-      xml::SaxParser{}.parse(out.response_xml, tee);
-      out.events = recorder.take();
-    } else if (record == RecordMode::Compact) {
+    if (record_events) {
+      // One parse feeds both the deserializer and the recorder (the miss
+      // path of the SAX representation never tokenizes twice).
       xml::CompactEventRecorder recorder;
       xml::TeeHandler tee(reader, recorder);
       xml::SaxParser{}.parse(out.response_xml, tee);
-      out.compact_events = recorder.take();
+      out.events = recorder.take();
     } else {
       xml::SaxParser{}.parse(out.response_xml, reader);
     }

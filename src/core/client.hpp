@@ -12,8 +12,8 @@
 //   3. generate the cache key with the configured KeyMethod,
 //   4. hit  -> CachedValue::retrieve() (the Table 7 cost),
 //   5. miss -> serialize, POST via the Transport, parse the reply —
-//      teeing the parse into an EventRecorder when the SAX representation
-//      will be stored, so the miss path never parses twice —
+//      teeing the parse into a CompactEventRecorder when the SAX
+//      representation will be stored, so the miss path never parses twice —
 //      store in the resolved representation, return the fresh object.
 #pragma once
 
@@ -123,30 +123,21 @@ class CachingServiceClient {
   }
 
  private:
-  /// What the miss path tees the parse into, decided per-representation
-  /// BEFORE parsing so the response is never tokenized twice.
-  enum class RecordMode { None, Legacy, Compact };
-
   struct CallResult {
     reflect::Object object;
     std::string response_xml;
-    xml::EventSequence events;                 // filled in Legacy mode
-    xml::CompactEventSequence compact_events;  // filled in Compact mode
+    xml::CompactEventSequence events;  // filled when recording events
     http::CacheDirectives directives;
     bool not_modified = false;  // 304 answer to a conditional request
     std::optional<std::chrono::seconds> last_modified;
     std::uint64_t deserialize_ns = 0;  // measured when profiling
   };
 
-  static RecordMode record_mode_for(Representation rep) {
-    if (rep == Representation::SaxEvents) return RecordMode::Legacy;
-    if (rep == Representation::SaxEventsCompact) return RecordMode::Compact;
-    return RecordMode::None;
-  }
-
+  /// `record_events` tees the parse into a recorder, decided per
+  /// representation BEFORE parsing so the response is never tokenized twice.
   CallResult remote_call(
       obs::CallTrace& trace, const soap::RpcRequest& request,
-      const wsdl::OperationInfo& op, RecordMode record,
+      const wsdl::OperationInfo& op, bool record_events,
       std::optional<std::chrono::seconds> if_modified_since = std::nullopt);
 
   /// Degraded mode: after the wire call failed for good, serve an

@@ -10,7 +10,6 @@ std::string_view representation_name(Representation r) {
   switch (r) {
     case Representation::XmlMessage: return "XML message";
     case Representation::SaxEvents: return "SAX events sequence";
-    case Representation::SaxEventsCompact: return "SAX events compact";
     case Representation::Serialized: return "Java serialization";
     case Representation::ReflectionCopy: return "Copy by reflection";
     case Representation::CloneCopy: return "Copy by clone";
@@ -21,14 +20,10 @@ std::string_view representation_name(Representation r) {
 }
 
 std::optional<Representation> representation_from_name(std::string_view name) {
-  static constexpr Representation kAll[] = {
-      Representation::XmlMessage,     Representation::SaxEvents,
-      Representation::SaxEventsCompact, Representation::Serialized,
-      Representation::ReflectionCopy, Representation::CloneCopy,
-      Representation::Reference,      Representation::Auto,
-  };
-  for (Representation r : kAll)
+  for (Representation r : kConcreteRepresentations)
     if (representation_name(r) == name) return r;
+  if (representation_name(Representation::Auto) == name)
+    return Representation::Auto;
   return std::nullopt;
 }
 
@@ -46,7 +41,6 @@ bool applicable(Representation r, const reflect::TypeInfo& type,
   switch (r) {
     case Representation::XmlMessage:
     case Representation::SaxEvents:
-    case Representation::SaxEventsCompact:
       return true;  // "Limitation: None"
     case Representation::Serialized:
       return type.is_deeply_serializable();
@@ -69,17 +63,15 @@ Representation auto_select(const reflect::TypeInfo& type, bool read_only,
   if (reflect::supports_reflection_copy(type))
     return Representation::ReflectionCopy;
   if (type.is_deeply_serializable()) return Representation::Serialized;
-  return Representation::SaxEventsCompact;
+  return Representation::SaxEvents;
 }
 
 std::vector<Representation> applicable_representations(
     const reflect::TypeInfo& type, bool read_only) {
   std::vector<Representation> out;
   out.reserve(kConcreteRepresentationCount);
-  for (std::size_t i = 0; i < kConcreteRepresentationCount; ++i) {
-    const Representation r = static_cast<Representation>(i);
+  for (Representation r : kConcreteRepresentations)
     if (applicable(r, type, read_only)) out.push_back(r);
-  }
   return out;
 }
 

@@ -10,7 +10,8 @@ std::string StatsSnapshot::to_string() const {
                 "hits=%llu misses=%llu (ratio %.1f%%) stores=%llu "
                 "rejected_stores=%llu "
                 "expired=%llu evicted=%llu clock_sweeps=%llu "
-                "second_chances=%llu revalidated=%llu uncacheable=%llu "
+                "second_chances=%llu invalidations=%llu revalidated=%llu "
+                "uncacheable=%llu "
                 "stale_serves=%llu retries=%llu breaker_opens=%llu "
                 "breaker_probes=%llu deadline_hits=%llu "
                 "coalesced_waits=%llu coalesced_failures=%llu "
@@ -24,6 +25,7 @@ std::string StatsSnapshot::to_string() const {
                 static_cast<unsigned long long>(evictions),
                 static_cast<unsigned long long>(clock_sweeps),
                 static_cast<unsigned long long>(second_chances),
+                static_cast<unsigned long long>(invalidations),
                 static_cast<unsigned long long>(revalidations),
                 static_cast<unsigned long long>(uncacheable),
                 static_cast<unsigned long long>(stale_serves),

@@ -2,7 +2,7 @@
 // Envelope/Body/{wrapper} and delegate the payload to ValueReader.
 //
 // `ResponseReader` is the handler a *client* attaches to either the live
-// parser (cache miss) or a replayed EventSequence (cache hit on the
+// parser (cache miss) or a replayed CompactEventSequence (cache hit on the
 // SAX-events representation) — one code path, two event sources, exactly
 // the Axis arrangement the paper instruments.
 #pragma once

@@ -1,16 +1,15 @@
-// Compact interned SAX event sequences: arena-backed recording, zero-copy
-// replay (the cache-side successor to event_sequence.hpp).
+// Recorded SAX event sequences (paper section 4.2.2, Tables 3/4): the
+// cache's "SAX events sequence" representation.
 //
-// The legacy `EventSequence` stores one struct of heap std::strings per
-// event — three strings per QName, plus per-attribute and per-text strings
-// — so a recorded GoogleSearch response costs thousands of allocations and
-// its Table 9 footprint is dominated by string headers.  This
-// representation exploits what SOAP responses actually look like: the same
-// handful of QNames (`<item>`, `<snippet>`, `<URL>` …) and attribute lists
-// (`xsi:type="xsd:string"`) repeat hundreds of times, while character data
-// is unique but contiguous-appendable.
+// `CompactEventRecorder` is a ContentHandler that captures the parse of a
+// response into a `CompactEventSequence`; the cache stores the sequence,
+// and on a hit replays it into the deserializer — identical events, no
+// tokenizer.  The layout is compact because SOAP responses are repetitive:
+// the same handful of QNames (`<item>`, `<snippet>`, `<URL>` …) and
+// attribute lists (`xsi:type="xsd:string"`) repeat hundreds of times,
+// while character data is unique but contiguous-appendable.
 //
-// Layout (see DESIGN.md "Compact event-sequence representation"):
+// Layout (see DESIGN.md "SAX event-sequence representation"):
 //
 //   arena_       one contiguous byte buffer holding ALL character data, in
 //                event order;
@@ -36,11 +35,19 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
-#include "xml/event_sequence.hpp"
 #include "xml/sax.hpp"
 
 namespace wsc::xml {
+
+enum class EventType : std::uint8_t {
+  StartDocument,
+  EndDocument,
+  StartElement,
+  EndElement,
+  Characters,
+};
 
 class CompactEventSequence final : public EventSource {
  public:

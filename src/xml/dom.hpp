@@ -2,9 +2,10 @@
 //
 // The paper mentions DOM trees as the post-parsing representation when the
 // middleware uses a DOM parser (section 3.3).  Axis itself is SAX-based, so
-// our cache uses EventSequence on the hot path; the DOM exists as the
-// general post-parsing tree (used by tests, tooling, and the HTTP-level
-// inspection utilities) and demonstrates the alternative representation.
+// our cache records a CompactEventSequence on the hot path; the DOM exists
+// as the general post-parsing tree (used by tests, tooling, and the
+// HTTP-level inspection utilities) and demonstrates the alternative
+// representation.
 #pragma once
 
 #include <memory>

@@ -89,4 +89,38 @@ class EventSource {
   virtual void deliver(ContentHandler& handler) const = 0;
 };
 
+/// Fan a single event stream out to two handlers (e.g. deserialize AND
+/// record in one parse, the way the cache populates itself on a miss
+/// without reparsing).
+class TeeHandler final : public ContentHandler {
+ public:
+  TeeHandler(ContentHandler& first, ContentHandler& second)
+      : first_(first), second_(second) {}
+
+  void start_document() override {
+    first_.start_document();
+    second_.start_document();
+  }
+  void end_document() override {
+    first_.end_document();
+    second_.end_document();
+  }
+  void start_element(const QName& name, const Attributes& attrs) override {
+    first_.start_element(name, attrs);
+    second_.start_element(name, attrs);
+  }
+  void end_element(const QName& name) override {
+    first_.end_element(name);
+    second_.end_element(name);
+  }
+  void characters(std::string_view text) override {
+    first_.characters(text);
+    second_.characters(text);
+  }
+
+ private:
+  ContentHandler& first_;
+  ContentHandler& second_;
+};
+
 }  // namespace wsc::xml

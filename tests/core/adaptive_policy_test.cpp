@@ -11,6 +11,7 @@
 
 #include "obs/events.hpp"
 #include "obs/profiles.hpp"
+#include "tests/core/representation_params.hpp"
 #include "util/clock.hpp"
 
 namespace wsc::cache {
@@ -18,15 +19,6 @@ namespace {
 
 constexpr const char* kService = "TestService";
 constexpr const char* kOp = "doGoogleSearch";
-
-const std::vector<Representation>& all_but_reference() {
-  static const std::vector<Representation> reps = {
-      Representation::XmlMessage,     Representation::SaxEvents,
-      Representation::SaxEventsCompact, Representation::Serialized,
-      Representation::ReflectionCopy, Representation::CloneCopy,
-  };
-  return reps;
-}
 
 /// Synthetic cost feed: n probe samples of (hit_ns, store_ns, bytes) for
 /// one representation, exactly what the client's shadow probes record.
@@ -44,7 +36,8 @@ struct Harness {
   }
   AdaptivePolicy::Choice choose(
       Representation static_choice = Representation::ReflectionCopy,
-      const std::vector<Representation>& applicable = all_but_reference()) {
+      const std::vector<Representation>& applicable =
+          testing::copying_representations()) {
     return policy->choose(kService, kOp, static_choice, applicable);
   }
   util::ManualClock clock;
@@ -91,7 +84,7 @@ TEST(AdaptivePolicyTest, ConvergesToBytesOptimum) {
   // must pick it anyway.
   feed(*h.profiles, Representation::ReflectionCopy, 100, 12994);
   feed(*h.profiles, Representation::Serialized, 9999, 2530);
-  feed(*h.profiles, Representation::SaxEventsCompact, 500, 4200);
+  feed(*h.profiles, Representation::SaxEvents, 500, 4200);
   h.policy->decide_now();
   EXPECT_EQ(h.policy->current(kOp), Representation::Serialized);
 }
@@ -101,7 +94,7 @@ TEST(AdaptivePolicyTest, WeightedObjectiveTradesLatencyAgainstBytes) {
   h.choose(Representation::ReflectionCopy);
   feed(*h.profiles, Representation::ReflectionCopy, 1000, 10000);  // J = 11000
   feed(*h.profiles, Representation::Serialized, 5000, 2000);       // J = 7000
-  feed(*h.profiles, Representation::SaxEventsCompact, 100, 20000); // J = 20100
+  feed(*h.profiles, Representation::SaxEvents, 100, 20000);  // J = 20100
   h.policy->decide_now();
   EXPECT_EQ(h.policy->current(kOp), Representation::Serialized);
 }
@@ -150,16 +143,16 @@ TEST(AdaptivePolicyTest, DriftTriggersReSwitch) {
   h.choose(Representation::ReflectionCopy);
   feed(*h.profiles, Representation::ReflectionCopy, 1000, 100);
   feed(*h.profiles, Representation::Serialized, 200, 100);
-  feed(*h.profiles, Representation::SaxEventsCompact, 1500, 100);
+  feed(*h.profiles, Representation::SaxEvents, 1500, 100);
   h.policy->decide_now();
   ASSERT_EQ(h.policy->current(kOp), Representation::Serialized);
-  // Payload shape drifts: serialization degrades, compact SAX improves.
+  // Payload shape drifts: serialization degrades, SAX replay improves.
   // EWMA after one epoch: Serialized 0.4*5000 + 0.6*200 = 2120,
-  // SaxEventsCompact 0.4*100 + 0.6*1500 = 940 < 2014 -> switch.
+  // SaxEvents 0.4*100 + 0.6*1500 = 940 < 2014 -> switch.
   feed(*h.profiles, Representation::Serialized, 5000, 100);
-  feed(*h.profiles, Representation::SaxEventsCompact, 100, 100);
+  feed(*h.profiles, Representation::SaxEvents, 100, 100);
   h.policy->decide_now();
-  EXPECT_EQ(h.policy->current(kOp), Representation::SaxEventsCompact);
+  EXPECT_EQ(h.policy->current(kOp), Representation::SaxEvents);
   EXPECT_EQ(h.policy->switches(), 2u);
 }
 
@@ -168,21 +161,21 @@ TEST(AdaptivePolicyTest, NeverSelectsOrProbesInapplicable) {
   config.sample_fraction = 1.0;  // probe on every store
   Harness h(config);
   const std::vector<Representation> applicable = {
-      Representation::XmlMessage, Representation::SaxEventsCompact};
+      Representation::XmlMessage, Representation::SaxEvents};
   // Reference and Serialized get spectacular (but inapplicable) rows —
   // the result type is a mutable non-serializable object, say.
   feed(*h.profiles, Representation::Reference, 1, 1);
   feed(*h.profiles, Representation::Serialized, 1, 1);
   feed(*h.profiles, Representation::XmlMessage, 5000, 100);
-  feed(*h.profiles, Representation::SaxEventsCompact, 800, 100);
+  feed(*h.profiles, Representation::SaxEvents, 800, 100);
   for (int i = 0; i < 200; ++i) {
     AdaptivePolicy::Choice c =
-        h.choose(Representation::SaxEventsCompact, applicable);
+        h.choose(Representation::SaxEvents, applicable);
     EXPECT_TRUE(c.representation == Representation::XmlMessage ||
-                c.representation == Representation::SaxEventsCompact);
+                c.representation == Representation::SaxEvents);
     EXPECT_TRUE(c.probe == Representation::Auto ||
                 c.probe == Representation::XmlMessage ||
-                c.probe == Representation::SaxEventsCompact)
+                c.probe == Representation::SaxEvents)
         << representation_name(c.probe);
     if (i == 100) h.policy->decide_now();
   }
@@ -291,7 +284,8 @@ TEST(AdaptivePolicyTest, SnapshotAndJsonExposeTheModel) {
   EXPECT_EQ(ops[0].representation, Representation::Serialized);
   EXPECT_EQ(ops[0].static_choice, Representation::ReflectionCopy);
   EXPECT_EQ(ops[0].switches, 1u);
-  ASSERT_EQ(ops[0].candidates.size(), all_but_reference().size());
+  ASSERT_EQ(ops[0].candidates.size(),
+            testing::copying_representations().size());
   bool saw_serialized = false;
   for (const auto& c : ops[0].candidates)
     if (c.representation == Representation::Serialized) {

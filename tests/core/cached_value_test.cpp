@@ -7,6 +7,7 @@
 
 #include "reflect/algorithms.hpp"
 #include "soap/serializer.hpp"
+#include "tests/core/representation_params.hpp"
 #include "tests/soap/test_service.hpp"
 #include "util/error.hpp"
 #include "xml/sax_parser.hpp"
@@ -29,8 +30,7 @@ std::shared_ptr<const wsdl::OperationInfo> shared_op(const char* name) {
 /// Simulate the miss-path capture for a response object.
 struct Captured {
   std::string xml;
-  xml::EventSequence events;
-  xml::CompactEventSequence compact_events;
+  xml::CompactEventSequence events;
   Object object;
   std::shared_ptr<const wsdl::OperationInfo> op;
 
@@ -38,7 +38,6 @@ struct Captured {
     ResponseCapture c;
     c.response_xml = &xml;
     c.events = &events;
-    c.compact_events = &compact_events;
     c.object = object;
     c.op = op;
     return c;
@@ -50,12 +49,9 @@ Captured capture_response(const char* op_name, Object object) {
   c.op = shared_op(op_name);
   c.object = std::move(object);
   c.xml = soap::serialize_response(*c.op, "urn:Test", c.object);
-  xml::EventRecorder recorder;
-  xml::CompactEventRecorder compact_recorder;
-  xml::TeeHandler tee(recorder, compact_recorder);
-  xml::SaxParser{}.parse(c.xml, tee);
+  xml::CompactEventRecorder recorder;
+  xml::SaxParser{}.parse(c.xml, recorder);
   c.events = recorder.take();
-  c.compact_events = compact_recorder.take();
   return c;
 }
 
@@ -93,11 +89,7 @@ TEST_P(AllRepresentations, MemorySizeNonTrivial) {
 
 INSTANTIATE_TEST_SUITE_P(
     Representations, AllRepresentations,
-    ::testing::Values(Representation::XmlMessage, Representation::SaxEvents,
-                      Representation::SaxEventsCompact,
-                      Representation::Serialized,
-                      Representation::ReflectionCopy,
-                      Representation::CloneCopy, Representation::Reference),
+    ::testing::ValuesIn(kConcreteRepresentations),
     [](const ::testing::TestParamInfo<Representation>& info) {
       std::string name(representation_name(info.param));
       for (char& ch : name) {
@@ -150,11 +142,7 @@ TEST_P(IsolatedRepresentations, RetrievalsAreStorageIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(
     CopyingRepresentations, IsolatedRepresentations,
-    ::testing::Values(Representation::XmlMessage, Representation::SaxEvents,
-                      Representation::SaxEventsCompact,
-                      Representation::Serialized,
-                      Representation::ReflectionCopy,
-                      Representation::CloneCopy));
+    ::testing::ValuesIn(testing::copying_representations()));
 
 // --- Reference: documented aliasing -------------------------------------------
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "reflect/algorithms.hpp"
+#include "tests/core/representation_params.hpp"
 #include "tests/soap/test_service.hpp"
 #include "transport/inproc_transport.hpp"
 #include "util/error.hpp"
@@ -124,11 +125,7 @@ TEST_P(ClientRepresentations, HitReturnsEqualObject) {
 
 INSTANTIATE_TEST_SUITE_P(
     Representations, ClientRepresentations,
-    ::testing::Values(Representation::XmlMessage, Representation::SaxEvents,
-                      Representation::SaxEventsCompact,
-                      Representation::Serialized,
-                      Representation::ReflectionCopy, Representation::CloneCopy,
-                      Representation::Auto));
+    ::testing::ValuesIn(testing::copying_representations_and_auto()));
 
 TEST(ClientTest, MutatingMissResultDoesNotPoisonCache) {
   CountingService svc;

@@ -1,8 +1,7 @@
-// Memory accounting for the compact SAX representation on the paper's real
-// fixtures (§5.1 Google operations, Table 1 Amazon search): the arena form
-// must cost at most half the legacy string-soup bytes on the GoogleSearch
-// response and never more on any fixture — under the honest memory_size()
-// accounting (heap capacities + per-block overhead, SSO strings free).
+// The SAX representation on the paper's real fixtures (§5.1 Google
+// operations, Table 1 Amazon search): replay round-trips every response,
+// and the value's memory_size() is the recording's honest footprint (heap
+// capacities + per-block overhead, SSO strings free) plus a fixed header.
 #include <gtest/gtest.h>
 
 #include "bench/common.hpp"
@@ -30,44 +29,21 @@ std::unique_ptr<CachedValue> value_for(const OperationCase& c,
   return make_cached_value(rep, capture);
 }
 
-TEST(CompactValueFootprintTest, AtMostHalfOfLegacyOnGoogleSearch) {
-  // The ISSUE acceptance bar: >= 2x lower memory_size() on the large,
-  // complex GoogleSearch response (few distinct QNames, many repeats).
-  const OperationCase& search = cases()[2];
-  CaptureScratch s1, s2;
-  auto legacy = value_for(search, Representation::SaxEvents, s1);
-  auto compact = value_for(search, Representation::SaxEventsCompact, s2);
-  EXPECT_LE(compact->memory_size() * 2, legacy->memory_size())
-      << "compact=" << compact->memory_size()
-      << " legacy=" << legacy->memory_size();
-}
-
-TEST(CompactValueFootprintTest, NeverLargerThanLegacyOnAnyGoogleFixture) {
-  for (const OperationCase& c : cases()) {
-    CaptureScratch s1, s2;
-    auto legacy = value_for(c, Representation::SaxEvents, s1);
-    auto compact = value_for(c, Representation::SaxEventsCompact, s2);
-    EXPECT_LE(compact->memory_size(), legacy->memory_size()) << c.display;
-  }
-}
-
 TEST(CompactValueFootprintTest, SequencesAgreeWithValueAccounting) {
   // The CachedValue wrapper adds only its own fixed header to the
   // sequence's self-reported footprint.
   const OperationCase& search = cases()[2];
   CaptureScratch s;
-  auto compact = value_for(search, Representation::SaxEventsCompact, s);
-  EXPECT_GE(compact->memory_size(),
-            search.response_compact_events.memory_size());
-  EXPECT_LE(compact->memory_size(),
-            search.response_compact_events.memory_size() + 256);
+  auto value = value_for(search, Representation::SaxEvents, s);
+  EXPECT_GE(value->memory_size(), search.response_events.memory_size());
+  EXPECT_LE(value->memory_size(), search.response_events.memory_size() + 256);
 }
 
 TEST(CompactValueTest, RetrieveEqualsOriginalOnGoogleFixtures) {
   for (const OperationCase& c : cases()) {
     CaptureScratch s;
-    auto compact = value_for(c, Representation::SaxEventsCompact, s);
-    EXPECT_TRUE(reflect::deep_equals(compact->retrieve(), c.response_object))
+    auto value = value_for(c, Representation::SaxEvents, s);
+    EXPECT_TRUE(reflect::deep_equals(value->retrieve(), c.response_object))
         << c.display;
   }
 }
@@ -76,14 +52,13 @@ TEST(CompactValueTest, FactoryRequiresCompactCapture) {
   const OperationCase& c = cases()[0];
   CaptureScratch s;
   ResponseCapture capture = c.capture_copy(s);
-  capture.compact_events = nullptr;  // middleware recorded no compact form
-  EXPECT_THROW(make_cached_value(Representation::SaxEventsCompact, capture),
-               Error);
+  capture.events = nullptr;  // the middleware recorded no events
+  EXPECT_THROW(make_cached_value(Representation::SaxEvents, capture), Error);
 }
 
 TEST(CompactValueFootprintTest, AmazonSearchFixture) {
   // The Table-1 service: a KeywordSearch response (bean with a repeated
-  // item list) behaves like GoogleSearch — compact at most half.
+  // item list) round-trips through the recording like GoogleSearch.
   services::amazon::AmazonBackend backend;
   auto desc = services::amazon::amazon_description();
   std::shared_ptr<const wsdl::OperationInfo> op{
@@ -93,24 +68,16 @@ TEST(CompactValueFootprintTest, AmazonSearchFixture) {
   std::string xml =
       soap::serialize_response(*op, "urn:PI/DevCentral/SoapAPI", response);
 
-  xml::EventRecorder legacy_rec;
-  xml::CompactEventRecorder compact_rec;
-  xml::TeeHandler tee(legacy_rec, compact_rec);
-  xml::SaxParser{}.parse(xml, tee);
-  xml::EventSequence legacy = legacy_rec.take();
-  xml::CompactEventSequence compact = compact_rec.take();
+  xml::CompactEventRecorder recorder;
+  xml::SaxParser{}.parse(xml, recorder);
+  xml::CompactEventSequence events = recorder.take();
 
-  EXPECT_LE(compact.memory_size() * 2, legacy.memory_size())
-      << "compact=" << compact.memory_size()
-      << " legacy=" << legacy.memory_size();
-
-  // And the compact value still round-trips the Amazon bean.
   ResponseCapture capture;
   capture.response_xml = &xml;
-  capture.compact_events = &compact;
+  capture.events = &events;
   capture.object = response;
   capture.op = op;
-  auto value = make_cached_value(Representation::SaxEventsCompact, capture);
+  auto value = make_cached_value(Representation::SaxEvents, capture);
   EXPECT_TRUE(reflect::deep_equals(value->retrieve(), response));
 }
 

@@ -81,10 +81,8 @@ TEST_F(RepresentationFixture, AutoSelectFollowsSection6Order) {
   EXPECT_EQ(auto_select(type_of<std::vector<std::uint8_t>>(), false),
             Representation::ReflectionCopy);
   // c) serializable (but not bean/array): Opaque is neither -> d
-  // d) fallback -> compact SAX events (the legacy string-soup form stays
-  //    selectable explicitly, but auto never picks it any more)
-  EXPECT_EQ(auto_select(type_of<Opaque>(), false),
-            Representation::SaxEventsCompact);
+  // d) fallback -> SAX events
+  EXPECT_EQ(auto_select(type_of<Opaque>(), false), Representation::SaxEvents);
 }
 
 TEST_F(RepresentationFixture, AutoSelectSerializableNonBean) {
@@ -127,11 +125,13 @@ TEST_F(RepresentationFixture, AutoIsAlwaysApplicable) {
 }
 
 TEST(RepresentationNamesTest, FromNameRoundTripsEveryValue) {
-  // Every enum value (the 7 concrete representations AND Auto) must
+  // Every enum value (the concrete representations AND Auto) must
   // round-trip through its display name — the adaptive policy keys its
   // models off names parsed back from cost-profile rows.
-  for (std::size_t i = 0; i <= kConcreteRepresentationCount; ++i) {
-    const Representation r = static_cast<Representation>(i);
+  std::vector<Representation> all(kConcreteRepresentations.begin(),
+                                  kConcreteRepresentations.end());
+  all.push_back(Representation::Auto);
+  for (Representation r : all) {
     const std::optional<Representation> parsed =
         representation_from_name(representation_name(r));
     ASSERT_TRUE(parsed.has_value()) << representation_name(r);
@@ -141,6 +141,12 @@ TEST(RepresentationNamesTest, FromNameRoundTripsEveryValue) {
   EXPECT_FALSE(representation_from_name("XML").has_value());
   EXPECT_FALSE(representation_from_name("xml message").has_value());
   EXPECT_FALSE(representation_from_name("Pass by reference ").has_value());
+}
+
+TEST(RepresentationNamesTest, RetiredCompactSaxNameIsRejected) {
+  // "SAX events sequence" is the one SAX representation; the name of the
+  // former second form must not parse to anything.
+  EXPECT_FALSE(representation_from_name("SAX events compact").has_value());
 }
 
 TEST_F(RepresentationFixture, ApplicableRepresentationsMatchesMatrix) {
@@ -154,24 +160,21 @@ TEST_F(RepresentationFixture, ApplicableRepresentationsMatchesMatrix) {
     EXPECT_NE(r, Representation::Auto);
     EXPECT_TRUE(applicable(r, type_of<GoogleSearchResult>(), false));
   }
-  // The read-only declaration unlocks Reference: all 7 concrete forms.
+  // The read-only declaration unlocks Reference: every concrete form.
   EXPECT_EQ(
       applicable_representations(type_of<GoogleSearchResult>(), true).size(),
       kConcreteRepresentationCount);
   // Opaque (no serialization, no reflection, no clone, mutable): only the
-  // three universal XML/SAX forms remain.
+  // two universal XML/SAX forms remain.
   const std::vector<Representation> opaque =
       applicable_representations(type_of<Opaque>(), false);
-  EXPECT_EQ(opaque, (std::vector<Representation>{
-                        Representation::XmlMessage, Representation::SaxEvents,
-                        Representation::SaxEventsCompact}));
+  EXPECT_EQ(opaque, (std::vector<Representation>{Representation::XmlMessage,
+                                                 Representation::SaxEvents}));
 }
 
 TEST(RepresentationNamesTest, AllNamed) {
   EXPECT_EQ(representation_name(Representation::XmlMessage), "XML message");
   EXPECT_EQ(representation_name(Representation::SaxEvents), "SAX events sequence");
-  EXPECT_EQ(representation_name(Representation::SaxEventsCompact),
-            "SAX events compact");
   EXPECT_EQ(representation_name(Representation::Serialized), "Java serialization");
   EXPECT_EQ(representation_name(Representation::ReflectionCopy), "Copy by reflection");
   EXPECT_EQ(representation_name(Representation::CloneCopy), "Copy by clone");

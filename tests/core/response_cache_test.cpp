@@ -222,6 +222,14 @@ TEST(ResponseCacheTest, StatsToStringHumanReadable) {
   EXPECT_NE(s.find("entries=0"), std::string::npos);
 }
 
+TEST(ResponseCacheTest, StatsToStringCountsInvalidations) {
+  ResponseCache cache;
+  cache.store(key("a"), value(1), minutes(1));
+  ASSERT_TRUE(cache.invalidate(key("a")));
+  EXPECT_NE(cache.stats().to_string().find("invalidations=1"),
+            std::string::npos);
+}
+
 TEST(ResponseCacheTest, ConcurrentMixedWorkload) {
   ResponseCache cache(ResponseCache::Config{.max_entries = 64});
   std::vector<std::thread> threads;

@@ -21,6 +21,7 @@
 #include "services/google/service.hpp"
 #include "services/google/stub.hpp"
 #include "tests/core/alloc_counter.hpp"
+#include "tests/core/representation_params.hpp"
 #include "transport/inproc_transport.hpp"
 
 namespace wsc::services::google {
@@ -137,11 +138,7 @@ TEST_P(TypedHitIsolation, MutatingAResultNeverChangesTheNextHit) {
 
 INSTANTIATE_TEST_SUITE_P(
     CopyingRepresentations, TypedHitIsolation,
-    ::testing::Values(Representation::XmlMessage, Representation::SaxEvents,
-                      Representation::SaxEventsCompact,
-                      Representation::Serialized,
-                      Representation::ReflectionCopy,
-                      Representation::CloneCopy));
+    ::testing::ValuesIn(cache::testing::copying_representations()));
 
 TEST(TypedHitTest, PassByReferenceEntryKeepsItsStoredString) {
   // Auto stores an immutable string by reference: every hit shares it.

@@ -9,6 +9,7 @@
 #include "reflect/algorithms.hpp"
 #include "services/google/service.hpp"
 #include "services/google/stub.hpp"
+#include "tests/core/representation_params.hpp"
 #include "transport/inproc_transport.hpp"
 
 namespace wsc {
@@ -61,12 +62,7 @@ TEST_P(ConcurrencyRepresentations, ParallelHitsAreConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Representations, ConcurrencyRepresentations,
-    ::testing::Values(cache::Representation::XmlMessage,
-                      cache::Representation::SaxEvents,
-                      cache::Representation::Serialized,
-                      cache::Representation::ReflectionCopy,
-                      cache::Representation::CloneCopy,
-                      cache::Representation::Auto));
+    ::testing::ValuesIn(cache::testing::copying_representations_and_auto()));
 
 TEST(ConcurrencyTest, MutationsUnderConcurrencyDoNotPoison) {
   // Copying representations: threads aggressively mutate their returned

@@ -11,6 +11,7 @@
 #include "portal/portal.hpp"
 #include "services/google/service.hpp"
 #include "services/google/stub.hpp"
+#include "tests/core/representation_params.hpp"
 #include "transport/http_transport.hpp"
 #include "transport/soap_http.hpp"
 #include "wsdl/wsdl_writer.hpp"
@@ -148,10 +149,7 @@ TEST(EndToEndTest, MultirefServerWithEveryCacheRepresentation) {
   auto server = transport::serve_soap(0, "/soap", service);
 
   for (cache::Representation rep :
-       {cache::Representation::XmlMessage, cache::Representation::SaxEvents,
-        cache::Representation::SaxEventsCompact,
-        cache::Representation::Serialized, cache::Representation::ReflectionCopy,
-        cache::Representation::CloneCopy, cache::Representation::Auto}) {
+       cache::testing::copying_representations_and_auto()) {
     cache::CachingServiceClient::Options options;
     options.policy = services::google::default_google_policy(rep);
     GoogleClient client(std::make_shared<transport::HttpTransport>(),

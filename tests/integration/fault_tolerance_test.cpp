@@ -132,14 +132,8 @@ TEST(FaultToleranceTest, TransientFaultScheduleAbsorbedInvisibly) {
 // admits.
 TEST(FaultToleranceTest, OutageServesStaleAcrossRepresentations) {
   const auto& result_type = reflect::type_of<std::string>();
-  const std::vector<Representation> all = {
-      Representation::XmlMessage,    Representation::SaxEvents,
-      Representation::SaxEventsCompact, Representation::Serialized,
-      Representation::ReflectionCopy,   Representation::CloneCopy,
-      Representation::Reference};
-
   int covered = 0;
-  for (Representation rep : all) {
+  for (Representation rep : cache::kConcreteRepresentations) {
     if (!cache::applicable(rep, result_type, /*read_only=*/false)) continue;
     ++covered;
     SCOPED_TRACE(std::string("representation = ") +

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "services/google/service.hpp"
+#include "tests/core/representation_params.hpp"
 #include "transport/inproc_transport.hpp"
 
 namespace wsc::portal {
@@ -84,10 +85,7 @@ TEST(PortalTest, AllRepresentationsRenderIdenticalPages) {
   auto backend = std::make_shared<GoogleBackend>();
   std::string reference;
   for (cache::Representation rep :
-       {cache::Representation::XmlMessage, cache::Representation::SaxEvents,
-        cache::Representation::SaxEventsCompact,
-        cache::Representation::Serialized, cache::Representation::ReflectionCopy,
-        cache::Representation::CloneCopy, cache::Representation::Auto}) {
+       cache::testing::copying_representations_and_auto()) {
     PortalSite portal = make_portal(backend, rep);
     portal.render_page("fixed query");           // miss
     std::string hit = portal.render_page("fixed query");  // hit

@@ -6,7 +6,7 @@
 #include "soap/serializer.hpp"
 #include "tests/soap/test_service.hpp"
 #include "util/error.hpp"
-#include "xml/event_sequence.hpp"
+#include "xml/compact_event_sequence.hpp"
 #include "xml/sax_parser.hpp"
 
 namespace wsc::soap {
@@ -96,9 +96,9 @@ TEST(ResponseReaderTest, ReplayedEventsEqualLiveParse) {
   Object original = make_polygon_object();
   std::string doc = serialize_response(op("echoPolygon"), "urn:Test", original);
 
-  xml::EventRecorder recorder;
+  xml::CompactEventRecorder recorder;
   xml::SaxParser{}.parse(doc, recorder);
-  xml::EventSequence seq = recorder.take();
+  xml::CompactEventSequence seq = recorder.take();
 
   Object from_replay = read_response(seq, op("echoPolygon"));
   Object from_text = parse_response_text(doc, op("echoPolygon"));

@@ -9,8 +9,8 @@
 #include "soap/serializer.hpp"
 #include "tests/soap/test_service.hpp"
 #include "util/error.hpp"
+#include "xml/compact_event_sequence.hpp"
 #include "xml/dom.hpp"
-#include "xml/event_sequence.hpp"
 #include "xml/sax_parser.hpp"
 
 namespace wsc::soap {
@@ -98,7 +98,7 @@ TEST(MultirefRoundTripTest, SurvivesEventReplay) {
   Object original = polygon_object();
   std::string doc =
       serialize_response_multiref(op("echoPolygon"), "urn:Test", original);
-  xml::EventRecorder recorder;
+  xml::CompactEventRecorder recorder;
   xml::SaxParser{}.parse(doc, recorder);
   Object decoded = read_response(recorder.sequence(), op("echoPolygon"));
   EXPECT_TRUE(reflect::deep_equals(original, decoded));

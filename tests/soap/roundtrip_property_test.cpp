@@ -9,7 +9,6 @@
 #include "tests/soap/test_service.hpp"
 #include "util/random.hpp"
 #include "xml/compact_event_sequence.hpp"
-#include "xml/event_sequence.hpp"
 #include "xml/sax_parser.hpp"
 
 namespace wsc::soap {
@@ -78,7 +77,7 @@ TEST_P(SoapRoundTripProperty, ResponseSurvivesEventReplay) {
   for (int i = 0; i < 15; ++i) {
     Object original = Object::make(random_polygon(rng));
     std::string doc = serialize_response(op, "urn:Test", original);
-    xml::EventRecorder recorder;
+    xml::CompactEventRecorder recorder;
     xml::SaxParser{}.parse(doc, recorder);
     Object decoded = read_response(recorder.sequence(), op);
     EXPECT_TRUE(reflect::deep_equals(original, decoded));

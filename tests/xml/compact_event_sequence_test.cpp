@@ -1,7 +1,7 @@
-// Compact event sequences: the arena-backed recording must be a faithful,
-// cheaper drop-in for the legacy EventSequence — identical replay event for
-// event, identical DOM after a full round trip, strictly smaller footprint
-// on repetitive documents, and ZERO heap allocations per event on replay.
+// Recorded event sequences: replaying the arena-backed recording must be
+// indistinguishable from the live parse — identical events field for
+// field, identical DOM after a full round trip — with interned names and
+// attribute lists, and ZERO heap allocations per event on replay.
 #include "xml/compact_event_sequence.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <iterator>
 #include <new>
 
+#include "tests/xml/event_log.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 #include "xml/dom.hpp"
@@ -50,40 +51,6 @@ CompactEventSequence record_compact(std::string_view doc) {
   return recorder.take();
 }
 
-EventSequence record_legacy(std::string_view doc) {
-  EventRecorder recorder;
-  SaxParser{}.parse(doc, recorder);
-  return recorder.take();
-}
-
-/// Replay a compact sequence through the legacy recorder so the result can
-/// be compared event for event against a direct legacy recording.
-EventSequence replay_to_legacy(const CompactEventSequence& seq) {
-  EventRecorder recorder;
-  seq.deliver(recorder);
-  return recorder.take();
-}
-
-void expect_same_events(const EventSequence& a, const EventSequence& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const Event& ea = a.events()[i];
-    const Event& eb = b.events()[i];
-    ASSERT_EQ(ea.type, eb.type) << "event " << i;
-    EXPECT_EQ(ea.name.uri, eb.name.uri) << "event " << i;
-    EXPECT_EQ(ea.name.local, eb.name.local) << "event " << i;
-    EXPECT_EQ(ea.name.raw, eb.name.raw) << "event " << i;
-    EXPECT_EQ(ea.text, eb.text) << "event " << i;
-    ASSERT_EQ(ea.attrs.size(), eb.attrs.size()) << "event " << i;
-    for (std::size_t j = 0; j < ea.attrs.size(); ++j) {
-      EXPECT_EQ(ea.attrs[j].name.raw, eb.attrs[j].name.raw);
-      EXPECT_EQ(ea.attrs[j].name.uri, eb.attrs[j].name.uri);
-      EXPECT_EQ(ea.attrs[j].name.local, eb.attrs[j].name.local);
-      EXPECT_EQ(ea.attrs[j].value, eb.attrs[j].value);
-    }
-  }
-}
-
 TEST(CompactEventSequenceTest, RecordsAllEventTypes) {
   CompactEventSequence seq = record_compact("<a k=\"v\">text<b/></a>");
   ASSERT_EQ(seq.size(), 7u);
@@ -119,7 +86,7 @@ TEST(CompactEventSequenceTest, ReplayIsRepeatable) {
   }
 }
 
-TEST(CompactEventSequenceTest, MatchesLegacyEventForEvent) {
+TEST(CompactEventSequenceTest, ReplayMatchesLiveParseEventForEvent) {
   const char* doc =
       "<soapenv:Envelope "
       "xmlns:soapenv=\"http://schemas.xmlsoap.org/soap/envelope/\">"
@@ -127,8 +94,7 @@ TEST(CompactEventSequenceTest, MatchesLegacyEventForEvent) {
       "<item xsi:type=\"xsd:string\" xmlns:xsi=\"urn:x\">a&amp;b</item>"
       "<item xsi:type=\"xsd:string\" xmlns:xsi=\"urn:x\">c&lt;d</item>"
       "</ns1:r></soapenv:Body></soapenv:Envelope>";
-  expect_same_events(replay_to_legacy(record_compact(doc)),
-                     record_legacy(doc));
+  EXPECT_EQ(log_replay(record_compact(doc)), log_parse(doc));
 }
 
 TEST(CompactEventSequenceTest, NastyCharacterDataSurvives) {
@@ -136,12 +102,11 @@ TEST(CompactEventSequenceTest, NastyCharacterDataSurvives) {
   std::string doc =
       "<a q=\"it&apos;s &quot;fine&quot;\">  \n\t "
       "&lt;tag&gt; &amp;&amp; caf\xc3\xa9 \xe2\x82\xac</a>";
-  expect_same_events(replay_to_legacy(record_compact(doc)),
-                     record_legacy(doc));
+  EXPECT_EQ(log_replay(record_compact(doc)), log_parse(doc));
 }
 
-// Property: for random well-formed documents the compact round trip is
-// indistinguishable (event for event) from the legacy recording, and the
+// Property: for random well-formed documents the replay is
+// indistinguishable (event for event) from the live parse, and the
 // replayed DOM equals the directly parsed DOM.
 void gen_element(util::Rng& rng, std::string& out, int depth) {
   static const char* kNames[] = {"item", "snippet",  "URL", "ns1:result",
@@ -167,7 +132,7 @@ void gen_element(util::Rng& rng, std::string& out, int depth) {
   out += '>';
 }
 
-TEST(CompactEventSequenceTest, RandomDocumentsMatchLegacyProperty) {
+TEST(CompactEventSequenceTest, RandomDocumentsReplayLikeLiveParseProperty) {
   util::Rng rng(0x5EED5EED);
   for (int iter = 0; iter < 50; ++iter) {
     std::string doc;
@@ -175,7 +140,7 @@ TEST(CompactEventSequenceTest, RandomDocumentsMatchLegacyProperty) {
     SCOPED_TRACE("iter " + std::to_string(iter) + ": " + doc.substr(0, 120));
 
     CompactEventSequence compact = record_compact(doc);
-    expect_same_events(replay_to_legacy(compact), record_legacy(doc));
+    EXPECT_EQ(log_replay(compact), log_parse(doc));
 
     DomBuilder builder;
     compact.deliver(builder);
@@ -197,20 +162,6 @@ TEST(CompactEventSequenceTest, InterningDeduplicatesNamesAndAttrLists) {
   // 1 start-doc + <list> + 100 * (start + chars + end) + </list> + end-doc.
   EXPECT_EQ(seq.size(), 304u);
   EXPECT_EQ(seq.arena_bytes(), 100u);
-}
-
-TEST(CompactEventSequenceTest, CompactBeatsLegacyFootprintOnRepetitiveDoc) {
-  // A SOAP-shaped document: few distinct names, many repeats.
-  std::string doc = "<r xmlns:e=\"urn:Env\">";
-  util::Rng rng(42);
-  for (int i = 0; i < 50; ++i)
-    doc += "<e:item key=\"a\">" + rng.next_sentence(6) + "</e:item>";
-  doc += "</r>";
-  CompactEventSequence compact = record_compact(doc);
-  EventSequence legacy = record_legacy(doc);
-  EXPECT_LT(compact.memory_size() * 2, legacy.memory_size())
-      << "compact=" << compact.memory_size()
-      << " legacy=" << legacy.memory_size();
 }
 
 TEST(CompactEventSequenceTest, ZeroAllocationsDuringReplay) {
@@ -266,19 +217,18 @@ TEST(CompactEventRecorderTest, ReusableAfterTake) {
   SaxParser{}.parse("<b two=\"2\">two</b>", recorder);
   CompactEventSequence second = recorder.take();
 
-  expect_same_events(replay_to_legacy(first), record_legacy("<a>one</a>"));
-  expect_same_events(replay_to_legacy(second),
-                     record_legacy("<b two=\"2\">two</b>"));
+  EXPECT_EQ(log_replay(first), log_parse("<a>one</a>"));
+  EXPECT_EQ(log_replay(second), log_parse("<b two=\"2\">two</b>"));
 }
 
-TEST(CompactEventRecorderTest, TeesWithLegacyRecorder) {
-  // The miss-path pattern: one parse feeds the deserializer and both
-  // recorders; the compact recording must match the legacy one.
-  EventRecorder legacy;
-  CompactEventRecorder compact;
-  TeeHandler tee(legacy, compact);
+TEST(CompactEventRecorderTest, TeedRecordingMatchesLiveParse) {
+  // The miss-path pattern: one parse feeds another handler and the
+  // recorder; the recording must replay what the other handler heard.
+  EventLog live;
+  CompactEventRecorder recorder;
+  TeeHandler tee(live, recorder);
   SaxParser{}.parse("<a k=\"v\"><b>x</b></a>", tee);
-  expect_same_events(replay_to_legacy(compact.take()), legacy.take());
+  EXPECT_EQ(log_replay(recorder.take()), live.lines());
 }
 
 }  // namespace

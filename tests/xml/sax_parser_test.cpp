@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/xml/event_log.hpp"
 #include "util/error.hpp"
-#include "xml/event_sequence.hpp"
+#include "xml/compact_event_sequence.hpp"
+#include "xml/dom.hpp"
 
 namespace wsc::xml {
 namespace {
@@ -158,22 +160,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SaxParserTest, RecordedSequenceMatchesDirectParse) {
   const char* doc = "<a xmlns=\"urn:x\" k=\"v\"><b>text &amp; more</b></a>";
-  EventRecorder recorder;
+  CompactEventRecorder recorder;
   SaxParser{}.parse(doc, recorder);
-  EventSequence seq = recorder.take();
+  CompactEventSequence seq = recorder.take();
 
-  // Replaying the recording produces the identical trace.
-  struct Tracer : ContentHandler {
-    std::string out;
-    void start_element(const QName& n, const Attributes&) override {
-      out += "<" + n.local;
-    }
-    void end_element(const QName& n) override { out += ">" + n.local; }
-    void characters(std::string_view t) override { out += std::string(t); }
-  } from_replay, from_parse;
-  seq.deliver(from_replay);
-  SaxParser{}.parse(doc, from_parse);
-  EXPECT_EQ(from_replay.out, from_parse.out);
+  // Replaying the recording produces the identical events, field for field.
+  EXPECT_EQ(log_replay(seq), log_parse(doc));
+}
+
+TEST(TeeHandlerTest, DeliversToBothHandlers) {
+  EventLog first, second;
+  TeeHandler tee(first, second);
+  SaxParser{}.parse("<a k=\"v\"><b>x</b></a>", tee);
+  ASSERT_FALSE(first.lines().empty());
+  EXPECT_EQ(first.lines(), second.lines());
+}
+
+TEST(TeeHandlerTest, DeserializeAndRecordInOneParse) {
+  // The miss-path pattern: DOM build (stand-in for the deserializer) and
+  // recording from one pass over the document.
+  DomBuilder builder;
+  CompactEventRecorder recorder;
+  TeeHandler tee(builder, recorder);
+  SaxParser{}.parse("<a>payload</a>", tee);
+  EXPECT_EQ(builder.take().root->text_content(), "payload");
+  EXPECT_FALSE(recorder.sequence().empty());
 }
 
 }  // namespace

@@ -41,6 +41,20 @@ std::string_view adaptive_objective_name(AdaptiveObjective o) {
   return "?";
 }
 
+const std::array<obs::Field<AdaptivePolicy, std::atomic<std::uint64_t>>, 4>
+    AdaptivePolicy::kCounterFields = {{
+        {"pressure_transitions",
+         "Memory-pressure watermark crossings (enter + exit)", obs::kCounter,
+         &AdaptivePolicy::pressure_transitions_},
+        {"decisions", "Adaptive decision passes (score refresh + switch check)",
+         obs::kCounter, &AdaptivePolicy::decisions_},
+        {"switches", "Representation switches applied by the adaptive policy",
+         obs::kCounter, &AdaptivePolicy::switches_},
+        {"explore_stores",
+         "Stores that shadow-probed an alternative representation",
+         obs::kCounter, &AdaptivePolicy::explore_stores_},
+    }};
+
 AdaptivePolicy::AdaptivePolicy(std::shared_ptr<obs::CostProfiles> profiles)
     : AdaptivePolicy(std::move(profiles), Config{}) {}
 
@@ -370,13 +384,11 @@ std::string AdaptivePolicy::json() const {
          ",\n  \"decision_interval_ms\": " +
          std::to_string(config_.decision_interval.count()) +
          ",\n  \"memory_pressure\": " +
-         (memory_pressure() ? "true" : "false") +
-         ",\n  \"pressure_transitions\": " +
-         std::to_string(pressure_transitions()) +
-         ",\n  \"decisions\": " + std::to_string(decisions()) +
-         ",\n  \"switches\": " + std::to_string(switches()) +
-         ",\n  \"explore_stores\": " + std::to_string(explore_stores()) +
-         ",\n  \"operations\": [";
+         (memory_pressure() ? "true" : "false");
+  for (const auto& field : kCounterFields)
+    out += ",\n  \"" + std::string(field.name) +
+           "\": " + std::to_string(obs::field_value(*this, field));
+  out += ",\n  \"operations\": [";
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const OperationState& s = ops[i];
     out += i ? ",\n    " : "\n    ";

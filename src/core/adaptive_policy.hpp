@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "core/representation.hpp"
+#include "obs/field_table.hpp"
 #include "util/clock.hpp"
 #include "util/random.hpp"
 
@@ -177,6 +178,12 @@ class AdaptivePolicy {
     return pressure_.load(std::memory_order_relaxed);
   }
   std::size_t operation_count() const;
+
+  /// The four counters above, declared once for json() and the
+  /// wsc_adaptive_* families.
+  static const std::array<
+      obs::Field<AdaptivePolicy, std::atomic<std::uint64_t>>, 4>
+      kCounterFields;
 
   const Config& config() const noexcept { return config_; }
   const std::shared_ptr<obs::CostProfiles>& profiles() const noexcept {

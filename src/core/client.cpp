@@ -64,21 +64,23 @@ void bind_transport_stats(transport::RetryingTransport& transport,
   transport::RetryingTransport::Listener listener;
   // Each closure co-owns the cache: a transport that outlives the cache's
   // other owners keeps the counters it writes to alive.
-  listener.on_retry = [cache] { cache->counters().on_transport_retry(); };
+  listener.on_retry = [cache] {
+    cache->counters().add(&StatsSnapshot::transport_retries);
+  };
   // Breaker transitions and deadline hits are rare, load-bearing state
   // changes: counted AND logged as structured events.
   listener.on_breaker_open = [cache] {
-    cache->counters().on_breaker_open();
+    cache->counters().add(&StatsSnapshot::breaker_opens);
     obs::event_log().emit(obs::EventKind::BreakerOpen, "transport",
                           "circuit breaker opened after repeated failures");
   };
   listener.on_breaker_probe = [cache] {
-    cache->counters().on_breaker_probe();
+    cache->counters().add(&StatsSnapshot::breaker_probes);
     obs::event_log().emit(obs::EventKind::BreakerProbe, "transport",
                           "half-open probe call admitted");
   };
   listener.on_deadline_hit = [cache] {
-    cache->counters().on_deadline_hit();
+    cache->counters().add(&StatsSnapshot::deadline_hits);
     obs::event_log().emit(obs::EventKind::DeadlineHit, "transport",
                           "per-call deadline exceeded");
   };
@@ -159,7 +161,7 @@ reflect::Object CachingServiceClient::invoke(
   const OperationPolicy& policy = options_.policy.lookup(operation);
 
   if (!options_.caching_enabled || !policy.cacheable) {
-    cache_->counters().on_uncacheable();
+    cache_->counters().add(&StatsSnapshot::uncacheable);
     trace.set_outcome(obs::Outcome::Uncacheable);
     return remote_call(trace, request, op, /*record_events=*/false).object;
   }
@@ -231,7 +233,7 @@ reflect::Object CachingServiceClient::invoke(
         // entry in the background before it ever expires.  If scheduling
         // fails (queue saturated, flights down), nothing is lost — the
         // entry simply expires and the next miss fetches synchronously.
-        cache_->counters().on_refresh_ahead();
+        cache_->counters().add(&StatsSnapshot::refresh_ahead_triggered);
         obs::event_log().emit(
             obs::EventKind::RefreshAhead,
             description_->name() + "." + operation,
@@ -249,7 +251,8 @@ reflect::Object CachingServiceClient::invoke(
         // a TTL-expiry storm on a hot key never parks callers on the wire.
         if (schedule_refresh(operation, request, op, policy,
                              scratch.to_key())) {
-          cache_->counters().on_swr_serve();
+          cache_->counters().add(
+              &StatsSnapshot::stale_while_revalidate_served);
           if (profiles) [[unlikely]]
             profiles->record_stale(
                 description_->name(), operation,
@@ -303,7 +306,7 @@ reflect::Object CachingServiceClient::invoke(
     switch (led.outcome) {
       case ResponseCache::FlightWait::Value: {
         // The leader stored a fresh entry and handed it over directly.
-        if (had_stale_entry) cache_->counters().on_miss();
+        if (had_stale_entry) cache_->counters().add(&StatsSnapshot::misses);
         trace.set_representation(
             representation_name(led.value->representation()));
         trace.set_outcome(obs::Outcome::Coalesced);
@@ -342,7 +345,7 @@ reflect::Object CachingServiceClient::invoke(
     ResponseCache::StaleLookup raced = cache_->lookup_allow_stale(key);
     if (raced.fresh) {
       cache_->complete_flight(flight, raced.value);
-      if (had_stale_entry) cache_->counters().on_miss();
+      if (had_stale_entry) cache_->counters().add(&StatsSnapshot::misses);
       trace.set_representation(
           representation_name(raced.value->representation()));
       trace.set_outcome(obs::Outcome::Coalesced);
@@ -405,7 +408,8 @@ reflect::Object CachingServiceClient::invoke(
     if (guard) guard->fail(std::current_exception());
     throw;
   }
-  if (had_stale_entry) cache_->counters().on_miss();  // stale + changed
+  if (had_stale_entry)
+    cache_->counters().add(&StatsSnapshot::misses);  // stale + changed
   trace.set_outcome(obs::Outcome::Miss);
 
   std::optional<std::chrono::milliseconds> ttl =
@@ -627,7 +631,7 @@ std::optional<reflect::Object> CachingServiceClient::serve_stale_on_error(
   if (!entry.value) return std::nullopt;
   if (!entry.fresh && entry.staleness > policy.staleness.stale_if_error)
     return std::nullopt;  // too stale even for degraded mode
-  cache_->counters().on_stale_serve();
+  cache_->counters().add(&StatsSnapshot::stale_serves);
   if (obs::CostProfiles* profiles = options_.profiles.get())
     profiles->record_stale(description_->name(), operation,
                            representation_name(entry.value->representation()));

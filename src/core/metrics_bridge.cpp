@@ -7,116 +7,25 @@ namespace wsc::cache {
 
 void register_cache_metrics(obs::MetricsRegistry& registry,
                             const ResponseCache& cache, obs::Labels labels) {
-  using obs::MetricsRegistry;
-  struct CounterField {
-    const char* name;
-    const char* help;
-    std::uint64_t StatsSnapshot::*field;
-  };
-  static const CounterField kCounters[] = {
-      {"wsc_cache_hits_total", "Fresh entries served", &StatsSnapshot::hits},
-      {"wsc_cache_misses_total", "Lookups that missed",
-       &StatsSnapshot::misses},
-      {"wsc_cache_stores_total", "Entries inserted or replaced",
-       &StatsSnapshot::stores},
-      {"wsc_cache_rejected_stores_total",
-       "store() calls dropped for a non-positive TTL",
-       &StatsSnapshot::rejected_stores},
-      {"wsc_cache_expirations_total", "Entries found expired",
-       &StatsSnapshot::expirations},
-      {"wsc_cache_evictions_total", "CLOCK / byte-budget removals",
-       &StatsSnapshot::evictions},
-      {"wsc_cache_clock_sweeps_total",
-       "Ring slots examined by the CLOCK eviction hand",
-       &StatsSnapshot::clock_sweeps},
-      {"wsc_cache_second_chances_total",
-       "Marked (recently hit) entries spared by the eviction hand",
-       &StatsSnapshot::second_chances},
-      {"wsc_cache_invalidations_total", "Explicit invalidate()/clear()",
-       &StatsSnapshot::invalidations},
-      {"wsc_cache_revalidations_total", "Stale entries refreshed via 304",
-       &StatsSnapshot::revalidations},
-      {"wsc_cache_uncacheable_total", "Calls bypassing the cache per policy",
-       &StatsSnapshot::uncacheable},
-      {"wsc_cache_stale_serves_total",
-       "Expired entries served on wire failure", &StatsSnapshot::stale_serves},
-      {"wsc_cache_transport_retries_total", "Wire attempts beyond the first",
-       &StatsSnapshot::transport_retries},
-      {"wsc_cache_breaker_opens_total", "Circuit breaker open events",
-       &StatsSnapshot::breaker_opens},
-      {"wsc_cache_breaker_probes_total", "Half-open recovery trial calls",
-       &StatsSnapshot::breaker_probes},
-      {"wsc_cache_deadline_hits_total", "Per-call deadlines exceeded",
-       &StatsSnapshot::deadline_hits},
-      {"wsc_cache_coalesced_waits_total",
-       "Followers parked on another caller's in-flight backend call",
-       &StatsSnapshot::coalesced_waits},
-      {"wsc_cache_coalesced_failures_total",
-       "Followers that observed the one broadcast leader failure",
-       &StatsSnapshot::coalesced_failures},
-      {"wsc_cache_stale_while_revalidate_served_total",
-       "Expired-within-grace entries served while a refresh ran",
-       &StatsSnapshot::stale_while_revalidate_served},
-      {"wsc_cache_refresh_ahead_triggered_total",
-       "Soft-TTL asynchronous refreshes kicked off",
-       &StatsSnapshot::refresh_ahead_triggered},
-  };
-  for (const CounterField& c : kCounters)
-    registry.family(c.name, c.help, MetricsRegistry::Kind::Counter);
-  registry.family("wsc_cache_entries", "Current entry count",
-                  MetricsRegistry::Kind::Gauge);
-  registry.family("wsc_cache_bytes", "Current approximate byte footprint",
-                  MetricsRegistry::Kind::Gauge);
-
-  registry.collector(
-      [&cache, labels = std::move(labels)](std::vector<obs::Sample>& out) {
-        StatsSnapshot s = cache.stats();  // one consistent snapshot
-        for (const CounterField& c : kCounters)
-          out.push_back({c.name, labels, static_cast<double>(s.*(c.field))});
-        out.push_back(
-            {"wsc_cache_entries", labels, static_cast<double>(s.entries)});
-        out.push_back(
-            {"wsc_cache_bytes", labels, static_cast<double>(s.bytes)});
-      });
+  obs::register_fields(registry, kCacheMetricPrefix, kCacheFields,
+                       std::move(labels), [&cache] { return cache.stats(); });
 }
 
 void register_adaptive_metrics(obs::MetricsRegistry& registry,
                                const AdaptivePolicy& policy,
                                obs::Labels labels) {
-  using obs::MetricsRegistry;
-  registry.family("wsc_adaptive_decisions_total",
-                  "Adaptive decision passes (score refresh + switch check)",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_adaptive_switches_total",
-                  "Representation switches applied by the adaptive policy",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_adaptive_explore_stores_total",
-                  "Stores that shadow-probed an alternative representation",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_adaptive_pressure_transitions_total",
-                  "Memory-pressure watermark crossings (enter + exit)",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_adaptive_operations",
-                  "Operations under adaptive management",
-                  MetricsRegistry::Kind::Gauge);
-  registry.family("wsc_adaptive_memory_pressure",
-                  "1 while cache bytes hold the objective at bytes-minimizing",
-                  MetricsRegistry::Kind::Gauge);
-  registry.collector(
-      [&policy, labels = std::move(labels)](std::vector<obs::Sample>& out) {
-        out.push_back({"wsc_adaptive_decisions_total", labels,
-                       static_cast<double>(policy.decisions())});
-        out.push_back({"wsc_adaptive_switches_total", labels,
-                       static_cast<double>(policy.switches())});
-        out.push_back({"wsc_adaptive_explore_stores_total", labels,
-                       static_cast<double>(policy.explore_stores())});
-        out.push_back({"wsc_adaptive_pressure_transitions_total", labels,
-                       static_cast<double>(policy.pressure_transitions())});
-        out.push_back({"wsc_adaptive_operations", labels,
-                       static_cast<double>(policy.operation_count())});
-        out.push_back({"wsc_adaptive_memory_pressure", labels,
-                       policy.memory_pressure() ? 1.0 : 0.0});
-      });
+  obs::register_fields(registry, "wsc_adaptive_",
+                       AdaptivePolicy::kCounterFields, labels,
+                       [&policy]() -> const AdaptivePolicy& { return policy; });
+  registry.gauge_fn("wsc_adaptive_operations",
+                    "Operations under adaptive management", labels, [&policy] {
+                      return static_cast<double>(policy.operation_count());
+                    });
+  registry.gauge_fn(
+      "wsc_adaptive_memory_pressure",
+      "1 while cache bytes hold the objective at bytes-minimizing",
+      std::move(labels),
+      [&policy] { return policy.memory_pressure() ? 1.0 : 0.0; });
 }
 
 }  // namespace wsc::cache

@@ -87,12 +87,12 @@ std::shared_ptr<const CachedValue> ResponseCache::lookup_impl(
     std::shared_lock lock(shard.mu);
     auto it = shard.map.find(key);
     if (it == shard.map.end()) {
-      stats_.on_miss();
+      stats_.add(&StatsSnapshot::misses);
       return nullptr;
     }
     if (now < it->second.expiry.load(std::memory_order_acquire)) {
       it->second.mark.store(true, std::memory_order_relaxed);
-      stats_.on_hit();
+      stats_.add(&StatsSnapshot::hits);
       return it->second.value;
     }
   }
@@ -102,19 +102,19 @@ std::shared_ptr<const CachedValue> ResponseCache::lookup_impl(
   std::unique_lock lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    stats_.on_miss();
+    stats_.add(&StatsSnapshot::misses);
     return nullptr;
   }
   if (tick(clock_->now()) <
       it->second.expiry.load(std::memory_order_acquire)) {
     // Raced with a concurrent store/refresh that revived the entry.
     it->second.mark.store(true, std::memory_order_relaxed);
-    stats_.on_hit();
+    stats_.add(&StatsSnapshot::hits);
     return it->second.value;
   }
   erase_locked(shard, it);
-  stats_.on_expiration();
-  stats_.on_miss();
+  stats_.add(&StatsSnapshot::expirations);
+  stats_.add(&StatsSnapshot::misses);
   return nullptr;
 }
 
@@ -133,7 +133,7 @@ void ResponseCache::store(const CacheKey& key,
                           std::optional<std::chrono::seconds> last_modified,
                           std::chrono::milliseconds soft_ttl) {
   if (ttl <= std::chrono::milliseconds::zero()) {
-    stats_.on_rejected_store();
+    stats_.add(&StatsSnapshot::rejected_stores);
     return;
   }
   std::size_t bytes = key.memory_size() + value->memory_size();
@@ -181,7 +181,7 @@ void ResponseCache::store(const CacheKey& key,
     entry.last_modified = last_modified;
     entry.bytes = bytes;
     shard.bytes += bytes;
-    stats_.on_store();
+    stats_.add(&StatsSnapshot::stores);
     evicted = evict_for_budget_locked(shard, now);
   }
   // Emit outside the shard lock: the event log has its own mutex and the
@@ -205,7 +205,7 @@ ResponseCache::StaleLookup ResponseCache::lookup_for_revalidation_impl(
   std::shared_lock lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    stats_.on_miss();
+    stats_.add(&StatsSnapshot::misses);
     return {};
   }
   StaleLookup out;
@@ -216,7 +216,7 @@ ResponseCache::StaleLookup ResponseCache::lookup_for_revalidation_impl(
   out.fresh = now < expiry;
   if (out.fresh) {
     it->second.mark.store(true, std::memory_order_relaxed);
-    stats_.on_hit();
+    stats_.add(&StatsSnapshot::hits);
     // Soft-TTL refresh-ahead: past the soft expiry, exactly one hit wins
     // the claim (CAS to the 0 sentinel) and owes a background refresh.
     Tick soft = it->second.soft_expiry.load(std::memory_order_relaxed);
@@ -273,7 +273,7 @@ bool ResponseCache::refresh(const CacheKey& key, std::chrono::milliseconds ttl,
           : Tick{0},
       std::memory_order_relaxed);
   it->second.mark.store(true, std::memory_order_relaxed);
-  stats_.on_revalidation();
+  stats_.add(&StatsSnapshot::revalidations);
   return true;
 }
 
@@ -297,7 +297,7 @@ ResponseCache::FlightResult ResponseCache::wait_flight(
   FlightResult out;  // defaults to Shutdown
   if (!handle.flight || handle.leader) return out;
   Flight& flight = *handle.flight;
-  stats_.on_coalesced_wait();
+  stats_.add(&StatsSnapshot::coalesced_waits);
   std::unique_lock lock(flight.mu);
   ++flight.waiters;
   const bool finished =
@@ -310,7 +310,8 @@ ResponseCache::FlightResult ResponseCache::wait_flight(
   out.outcome = flight.outcome;
   out.value = flight.value;
   out.error = flight.error;
-  if (out.outcome == FlightWait::Error) stats_.on_coalesced_failure();
+  if (out.outcome == FlightWait::Error)
+    stats_.add(&StatsSnapshot::coalesced_failures);
   return out;
 }
 
@@ -391,7 +392,7 @@ bool ResponseCache::invalidate(const CacheKey& key) {
   auto it = shard.map.find(key);
   if (it == shard.map.end()) return false;
   erase_locked(shard, it);
-  stats_.on_invalidation();
+  stats_.add(&StatsSnapshot::invalidations);
   return true;
 }
 
@@ -402,7 +403,7 @@ void ResponseCache::clear() {
     shard->map.clear();
     shard->hand = nullptr;
     shard->bytes = 0;
-    for (std::size_t i = 0; i < n; ++i) stats_.on_invalidation();
+    stats_.add(&StatsSnapshot::invalidations, n);
   }
 }
 
@@ -415,7 +416,7 @@ std::size_t ResponseCache::purge_expired() {
       if (now >= it->second.expiry.load(std::memory_order_acquire)) {
         auto victim = it++;
         erase_locked(*shard, victim);
-        stats_.on_expiration();
+        stats_.add(&StatsSnapshot::expirations);
         ++removed;
       } else {
         ++it;
@@ -463,21 +464,21 @@ std::size_t ResponseCache::evict_for_budget_locked(Shard& shard,
     // reference mark (clearing marks as it passes — the "second chance").
     // Terminates because every pass over a marked entry clears its mark.
     Entry* victim = shard.hand;
-    stats_.on_clock_sweep();
+    stats_.add(&StatsSnapshot::clock_sweeps);
     if (now >= victim->expiry.load(std::memory_order_acquire)) {
       // Dead anyway: reclaim it as an expiration, not an eviction.
       erase_locked(shard, shard.map.find(*victim->key));
-      stats_.on_expiration();
+      stats_.add(&StatsSnapshot::expirations);
       continue;
     }
     if (victim->mark.load(std::memory_order_relaxed)) {
       victim->mark.store(false, std::memory_order_relaxed);
-      stats_.on_second_chance();
+      stats_.add(&StatsSnapshot::second_chances);
       shard.hand = victim->ring_next;
       continue;
     }
     erase_locked(shard, shard.map.find(*victim->key));
-    stats_.on_eviction();
+    stats_.add(&StatsSnapshot::evictions);
     ++evicted;
   }
   return evicted;

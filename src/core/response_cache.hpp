@@ -125,7 +125,7 @@ class ResponseCache {
   /// eviction, so the fallback entry a failing wire call needs cannot be
   /// destroyed by the lookup that finds it.  The fresh-only lookup()
   /// semantics are unchanged.  Callers report the outcome themselves
-  /// (CacheStats::on_stale_serve for a degraded read).
+  /// (StatsSnapshot::stale_serves for a degraded read).
   StaleLookup lookup_allow_stale(const CacheKey& key) const;
 
   /// Give an existing (possibly expired) entry a new lease after a 304.

@@ -1,19 +1,26 @@
-// Cache instrumentation counters (thread-safe).
+// Cache instrumentation counters (thread-safe), declared once in
+// kCacheFields: the live counters, the snapshot, the /stats JSON, the
+// to_string() text and the wsc_cache_* Prometheus families are all
+// generated from that table.
 //
 // Layout matters here: these counters are bumped from the cache's
 // contention-free hit path, where a single shared cache line would undo
 // the shared_mutex work — every hit on every core would still ping-pong
-// one line of atomics ("false sharing").  The write-hot counters (hits,
-// misses, stores, expirations, evictions) therefore each own a 64-byte
-// cache line via alignas; the cold administrative counters share one.
-// All increments and snapshot loads use relaxed ordering consistently —
-// they are monotonic tallies, not synchronization points.
+// one line of atomics ("false sharing").  Each live counter therefore
+// owns a 64-byte cache line, and a bump is one relaxed fetch_add on a
+// slot chosen at compile time.  All increments and snapshot loads use
+// relaxed ordering consistently — they are monotonic tallies, not
+// synchronization points.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <new>
 #include <string>
+#include <string_view>
+
+#include "obs/field_table.hpp"
 
 namespace wsc::cache {
 
@@ -22,62 +29,112 @@ struct StatsSnapshot {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
-  std::uint64_t rejected_stores = 0;  // store() with a non-positive TTL
-  std::uint64_t expirations = 0;   // entries found expired on lookup
-  std::uint64_t evictions = 0;     // CLOCK / byte-budget removals
-  std::uint64_t clock_sweeps = 0;  // ring slots the eviction hand examined
-  std::uint64_t second_chances = 0;  // marked entries spared by the hand
-  std::uint64_t invalidations = 0; // explicit invalidate()/clear()
-  std::uint64_t revalidations = 0; // stale entries refreshed via 304
-  std::uint64_t uncacheable = 0;   // calls bypassing the cache per policy
-  // Degraded-mode / fault-tolerance counters (ISSUE 3):
-  std::uint64_t stale_serves = 0;      // expired entries served on wire failure
-  std::uint64_t transport_retries = 0; // wire attempts beyond the first
-  std::uint64_t breaker_opens = 0;     // circuit breaker closed/half-open -> open
-  std::uint64_t breaker_probes = 0;    // half-open recovery trial calls
-  std::uint64_t deadline_hits = 0;     // per-call deadlines exceeded
-  // Single-flight / anti-herd counters (ISSUE 8):
-  std::uint64_t coalesced_waits = 0;       // followers parked on a leader's call
-  std::uint64_t coalesced_failures = 0;    // followers that observed the one broadcast failure
-  std::uint64_t stale_while_revalidate_served = 0;  // stale served while a refresh ran
-  std::uint64_t refresh_ahead_triggered = 0;        // soft-TTL async refreshes kicked off
-  std::uint64_t entries = 0;       // current entry count
-  std::uint64_t bytes = 0;         // current approximate footprint
+  std::uint64_t rejected_stores = 0;
+  std::uint64_t expirations = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t clock_sweeps = 0;
+  std::uint64_t second_chances = 0;
+  std::uint64_t invalidations = 0;
+  std::uint64_t revalidations = 0;
+  std::uint64_t uncacheable = 0;
+  std::uint64_t stale_serves = 0;
+  std::uint64_t transport_retries = 0;
+  std::uint64_t breaker_opens = 0;
+  std::uint64_t breaker_probes = 0;
+  std::uint64_t deadline_hits = 0;
+  std::uint64_t coalesced_waits = 0;
+  std::uint64_t coalesced_failures = 0;
+  std::uint64_t stale_while_revalidate_served = 0;
+  std::uint64_t refresh_ahead_triggered = 0;
+  std::uint64_t entries = 0;
+  std::uint64_t bytes = 0;
 
   double hit_ratio() const {
     std::uint64_t lookups = hits + misses;
     return lookups == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(lookups);
   }
 
+  /// Every field as `name=value`, then the hit ratio.
   std::string to_string() const;
 };
 
-/// Flat JSON object carrying every snapshot counter verbatim (the /stats
-/// admin endpoint's body).
+/// Every exported cache field, in /stats order: the counters CacheStats
+/// keeps live, then the two gauges a snapshot is handed.
+inline constexpr auto kCacheFields = std::to_array<obs::Field<StatsSnapshot>>({
+    {"hits", "Fresh entries served", obs::kCounter, &StatsSnapshot::hits},
+    {"misses", "Lookups that missed", obs::kCounter, &StatsSnapshot::misses},
+    {"stores", "Entries inserted or replaced", obs::kCounter,
+     &StatsSnapshot::stores},
+    {"rejected_stores", "store() calls dropped for a non-positive TTL",
+     obs::kCounter, &StatsSnapshot::rejected_stores},
+    {"expirations", "Entries found expired", obs::kCounter,
+     &StatsSnapshot::expirations},
+    {"evictions", "CLOCK / byte-budget removals", obs::kCounter,
+     &StatsSnapshot::evictions},
+    {"clock_sweeps", "Ring slots examined by the CLOCK eviction hand",
+     obs::kCounter, &StatsSnapshot::clock_sweeps},
+    {"second_chances",
+     "Marked (recently hit) entries spared by the eviction hand",
+     obs::kCounter, &StatsSnapshot::second_chances},
+    {"invalidations", "Explicit invalidate()/clear()", obs::kCounter,
+     &StatsSnapshot::invalidations},
+    {"revalidations", "Stale entries refreshed via 304", obs::kCounter,
+     &StatsSnapshot::revalidations},
+    {"uncacheable", "Calls bypassing the cache per policy", obs::kCounter,
+     &StatsSnapshot::uncacheable},
+    {"stale_serves", "Expired entries served on wire failure", obs::kCounter,
+     &StatsSnapshot::stale_serves},
+    {"transport_retries", "Wire attempts beyond the first", obs::kCounter,
+     &StatsSnapshot::transport_retries},
+    {"breaker_opens", "Circuit breaker open events", obs::kCounter,
+     &StatsSnapshot::breaker_opens},
+    {"breaker_probes", "Half-open recovery trial calls", obs::kCounter,
+     &StatsSnapshot::breaker_probes},
+    {"deadline_hits", "Per-call deadlines exceeded", obs::kCounter,
+     &StatsSnapshot::deadline_hits},
+    {"coalesced_waits",
+     "Followers parked on another caller's in-flight backend call",
+     obs::kCounter, &StatsSnapshot::coalesced_waits},
+    {"coalesced_failures",
+     "Followers that observed the one broadcast leader failure",
+     obs::kCounter, &StatsSnapshot::coalesced_failures},
+    {"stale_while_revalidate_served",
+     "Expired-within-grace entries served while a refresh ran",
+     obs::kCounter, &StatsSnapshot::stale_while_revalidate_served},
+    {"refresh_ahead_triggered", "Soft-TTL asynchronous refreshes kicked off",
+     obs::kCounter, &StatsSnapshot::refresh_ahead_triggered},
+    {"entries", "Current entry count", obs::kGauge, &StatsSnapshot::entries},
+    {"bytes", "Current approximate byte footprint", obs::kGauge,
+     &StatsSnapshot::bytes},
+});
+
+/// Prefix of the cache's Prometheus families (wsc_cache_hits_total, ...).
+inline constexpr std::string_view kCacheMetricPrefix = "wsc_cache_";
+
+/// CacheStats keeps every row but the trailing entries/bytes gauges live.
+inline constexpr std::size_t kCacheCounterCount = kCacheFields.size() - 2;
+
+/// Flat JSON object carrying every kCacheFields row plus the hit ratio
+/// (the /stats admin endpoint's body).
 std::string stats_json(const StatsSnapshot& snapshot);
 
 class CacheStats {
  public:
-  void on_hit() { hits_.v.fetch_add(1, std::memory_order_relaxed); }
-  void on_miss() { misses_.v.fetch_add(1, std::memory_order_relaxed); }
-  void on_store() { stores_.v.fetch_add(1, std::memory_order_relaxed); }
-  void on_rejected_store() { rejected_stores_.fetch_add(1, std::memory_order_relaxed); }
-  void on_expiration() { expirations_.v.fetch_add(1, std::memory_order_relaxed); }
-  void on_eviction() { evictions_.v.fetch_add(1, std::memory_order_relaxed); }
-  void on_clock_sweep() { clock_sweeps_.fetch_add(1, std::memory_order_relaxed); }
-  void on_second_chance() { second_chances_.fetch_add(1, std::memory_order_relaxed); }
-  void on_invalidation() { invalidations_.fetch_add(1, std::memory_order_relaxed); }
-  void on_revalidation() { revalidations_.fetch_add(1, std::memory_order_relaxed); }
-  void on_uncacheable() { uncacheable_.fetch_add(1, std::memory_order_relaxed); }
-  void on_stale_serve() { stale_serves_.fetch_add(1, std::memory_order_relaxed); }
-  void on_transport_retry() { transport_retries_.fetch_add(1, std::memory_order_relaxed); }
-  void on_breaker_open() { breaker_opens_.fetch_add(1, std::memory_order_relaxed); }
-  void on_breaker_probe() { breaker_probes_.fetch_add(1, std::memory_order_relaxed); }
-  void on_deadline_hit() { deadline_hits_.fetch_add(1, std::memory_order_relaxed); }
-  void on_coalesced_wait() { coalesced_waits_.fetch_add(1, std::memory_order_relaxed); }
-  void on_coalesced_failure() { coalesced_failures_.fetch_add(1, std::memory_order_relaxed); }
-  void on_swr_serve() { swr_served_.fetch_add(1, std::memory_order_relaxed); }
-  void on_refresh_ahead() { refresh_ahead_.fetch_add(1, std::memory_order_relaxed); }
+  /// A live counter, named by its StatsSnapshot member and resolved to
+  /// its table row at compile time; a member that is not a counter row
+  /// does not compile.
+  struct Counter {
+    consteval Counter(std::uint64_t StatsSnapshot::*member) : row(0) {
+      while (row < kCacheCounterCount && kCacheFields[row].member != member)
+        ++row;
+      if (row == kCacheCounterCount) throw "not a kCacheFields counter row";
+    }
+    std::size_t row;
+  };
+
+  void add(Counter counter, std::uint64_t n = 1) {
+    counters_[counter.row].v.fetch_add(n, std::memory_order_relaxed);
+  }
 
   StatsSnapshot snapshot(std::uint64_t entries, std::uint64_t bytes) const;
 
@@ -89,16 +146,7 @@ class CacheStats {
     std::atomic<std::uint64_t> v{0};
   };
 
-  // Write-hot (bumped per lookup/store on the fast path): padded.
-  Padded hits_, misses_, stores_, expirations_, evictions_;
-  // Cold (eviction sweeps, admin ops, fault handling): packed together is
-  // fine — they are never bumped from the contention-free hit path.
-  std::atomic<std::uint64_t> rejected_stores_{0}, clock_sweeps_{0},
-      second_chances_{0}, invalidations_{0}, revalidations_{0},
-      uncacheable_{0}, stale_serves_{0}, transport_retries_{0},
-      breaker_opens_{0}, breaker_probes_{0}, deadline_hits_{0},
-      coalesced_waits_{0}, coalesced_failures_{0}, swr_served_{0},
-      refresh_ahead_{0};
+  std::array<Padded, kCacheCounterCount> counters_;
 };
 
 }  // namespace wsc::cache

@@ -74,53 +74,11 @@ PortalSite::PortalSite(PortalConfig config)
 
 void PortalSite::attach_server(const http::HttpServer& server) {
   server_stats_ = &server.stats();
-  const http::ServerStats* s = server_stats_;
-  auto counter = [&](const char* name, const char* help,
-                     const std::atomic<std::uint64_t>& field) {
-    metrics_->counter_fn(name, help, {},
-                         [s, &field] { return s->get(field); });
-  };
-  auto gauge = [&](const char* name, const char* help,
-                   const std::atomic<std::uint64_t>& field) {
-    metrics_->gauge_fn(name, help, {}, [s, &field] {
-      return static_cast<double>(s->get(field));
-    });
-  };
-  counter("wsc_server_connections_accepted_total",
-          "Connections accepted since start.", s->connections_accepted);
-  counter("wsc_server_connections_closed_total",
-          "Connections closed since start.", s->connections_closed);
-  counter("wsc_server_idle_reaped_total",
-          "Keep-alive connections closed by the idle timeout.",
-          s->idle_reaped);
-  counter("wsc_server_requests_total", "Requests fully parsed.", s->requests);
-  counter("wsc_server_responses_total", "Responses written.", s->responses);
-  counter("wsc_server_handler_errors_total",
-          "Handler exceptions mapped to 500.", s->handler_errors);
-  counter("wsc_server_limit_rejected_total",
-          "Requests rejected with 431/413 (size caps).", s->limit_rejected);
-  counter("wsc_server_protocol_errors_total",
-          "Malformed requests / dropped connections.", s->protocol_errors);
-  counter("wsc_server_accept_pauses_total",
-          "Times accept pacing engaged (backpressure).", s->accept_pauses);
-  counter("wsc_server_overflow_closed_total",
-          "Connections closed for exceeding the write-buffer cap.",
-          s->overflow_closed);
-  counter("wsc_server_workers_reaped_total",
-          "Finished worker threads joined (threaded mode).",
-          s->workers_reaped);
-  counter("wsc_server_bytes_in_total", "Request bytes read.", s->bytes_in);
-  counter("wsc_server_bytes_out_total", "Response bytes written.",
-          s->bytes_out);
-  gauge("wsc_server_connections_active", "Connections currently open.",
-        s->connections_active);
-  gauge("wsc_server_connections_idle",
-        "Keep-alive connections parked between requests.",
-        s->connections_idle);
-  gauge("wsc_server_dispatch_depth",
-        "Requests queued or running in the handler pool.", s->dispatch_depth);
-  gauge("wsc_server_worker_threads", "Live handler threads.",
-        s->worker_threads);
+  obs::register_fields(*metrics_, http::kServerMetricPrefix,
+                       http::kServerFields, {},
+                       [s = server_stats_]() -> const http::ServerStats& {
+                         return *s;
+                       });
 }
 
 std::string PortalSite::profiles_json() const {

@@ -235,50 +235,10 @@ WireResponse RetryingTransport::post(const util::Uri& endpoint,
 
 void register_retry_metrics(obs::MetricsRegistry& registry,
                             const RetryingTransport& transport) {
-  using obs::MetricsRegistry;
-  registry.family("wsc_retry_attempts_total", "Wire calls actually made",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_retry_retries_total", "Attempts beyond the first",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_retry_successes_total", "Delivered post() calls",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_retry_failures_total",
-                  "Failed post() calls (all attempts spent)",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_retry_deadline_hits_total",
-                  "Per-call deadlines exceeded", MetricsRegistry::Kind::Counter);
-  registry.family("wsc_retry_budget_exhausted_total",
-                  "Retries suppressed by the token-bucket budget",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_breaker_opens_total", "Circuit breaker open events",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_breaker_fast_fails_total",
-                  "Calls rejected while the breaker was open",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_breaker_probes_total", "Half-open recovery trial calls",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_breaker_closes_total",
-                  "Breaker recoveries (probe succeeded)",
-                  MetricsRegistry::Kind::Counter);
-  registry.family("wsc_retry_budget_tokens", "Remaining retry budget tokens",
-                  MetricsRegistry::Kind::Gauge);
-  registry.collector([&transport](std::vector<obs::Sample>& out) {
-    RetryCounters c = transport.counters();  // one locked snapshot
-    auto emit = [&out](const char* name, std::uint64_t v) {
-      out.push_back({name, {}, static_cast<double>(v)});
-    };
-    emit("wsc_retry_attempts_total", c.attempts);
-    emit("wsc_retry_retries_total", c.retries);
-    emit("wsc_retry_successes_total", c.successes);
-    emit("wsc_retry_failures_total", c.failures);
-    emit("wsc_retry_deadline_hits_total", c.deadline_hits);
-    emit("wsc_retry_budget_exhausted_total", c.budget_exhausted);
-    emit("wsc_breaker_opens_total", c.breaker_opens);
-    emit("wsc_breaker_fast_fails_total", c.breaker_fast_fails);
-    emit("wsc_breaker_probes_total", c.breaker_probes);
-    emit("wsc_breaker_closes_total", c.breaker_closes);
-    out.push_back({"wsc_retry_budget_tokens", {}, transport.budget_tokens()});
-  });
+  obs::register_fields(registry, "", kRetryFields, {},
+                       [&transport] { return transport.counters(); });
+  registry.gauge_fn("wsc_retry_budget_tokens", "Remaining retry budget tokens",
+                    {}, [&transport] { return transport.budget_tokens(); });
 }
 
 }  // namespace wsc::transport

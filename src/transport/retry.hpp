@@ -13,6 +13,7 @@
 // injectable, so tests drive the whole schedule in virtual time.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -21,13 +22,10 @@
 #include <mutex>
 #include <string>
 
+#include "obs/field_table.hpp"
 #include "transport/transport.hpp"
 #include "util/clock.hpp"
 #include "util/random.hpp"
-
-namespace wsc::obs {
-class MetricsRegistry;
-}
 
 namespace wsc::transport {
 
@@ -57,17 +55,43 @@ struct RetryPolicy {
 };
 
 struct RetryCounters {
-  std::uint64_t attempts = 0;        // wire calls actually made
-  std::uint64_t retries = 0;         // attempts beyond the first
+  std::uint64_t attempts = 0;
+  std::uint64_t retries = 0;
   std::uint64_t successes = 0;
-  std::uint64_t failures = 0;        // failed post() calls (all attempts)
+  std::uint64_t failures = 0;
   std::uint64_t deadline_hits = 0;
   std::uint64_t budget_exhausted = 0;
   std::uint64_t breaker_opens = 0;
   std::uint64_t breaker_fast_fails = 0;
-  std::uint64_t breaker_probes = 0;  // half-open trial calls
+  std::uint64_t breaker_probes = 0;
   std::uint64_t breaker_closes = 0;
 };
+
+/// Every RetryCounters field.  The retry and breaker families share no
+/// prefix, so each row carries its full family stem.
+inline constexpr auto kRetryFields = std::to_array<obs::Field<RetryCounters>>({
+    {"wsc_retry_attempts", "Wire calls actually made", obs::kCounter,
+     &RetryCounters::attempts},
+    {"wsc_retry_retries", "Attempts beyond the first", obs::kCounter,
+     &RetryCounters::retries},
+    {"wsc_retry_successes", "Delivered post() calls", obs::kCounter,
+     &RetryCounters::successes},
+    {"wsc_retry_failures", "Failed post() calls (all attempts spent)",
+     obs::kCounter, &RetryCounters::failures},
+    {"wsc_retry_deadline_hits", "Per-call deadlines exceeded", obs::kCounter,
+     &RetryCounters::deadline_hits},
+    {"wsc_retry_budget_exhausted",
+     "Retries suppressed by the token-bucket budget", obs::kCounter,
+     &RetryCounters::budget_exhausted},
+    {"wsc_breaker_opens", "Circuit breaker open events", obs::kCounter,
+     &RetryCounters::breaker_opens},
+    {"wsc_breaker_fast_fails", "Calls rejected while the breaker was open",
+     obs::kCounter, &RetryCounters::breaker_fast_fails},
+    {"wsc_breaker_probes", "Half-open recovery trial calls", obs::kCounter,
+     &RetryCounters::breaker_probes},
+    {"wsc_breaker_closes", "Breaker recoveries (probe succeeded)",
+     obs::kCounter, &RetryCounters::breaker_closes},
+});
 
 class RetryingTransport final : public Transport {
  public:
@@ -136,9 +160,9 @@ class RetryingTransport final : public Transport {
   RetryCounters counters_;
 };
 
-/// Export every RetryCounters field (wsc_retry_*) plus the remaining
-/// budget tokens gauge from ONE counters() snapshot per scrape.  The
-/// transport must outlive the registry's exports.
+/// Export every kRetryFields row from ONE counters() snapshot per scrape,
+/// plus the remaining budget tokens gauge.  The transport must outlive
+/// the registry's exports.
 void register_retry_metrics(obs::MetricsRegistry& registry,
                             const RetryingTransport& transport);
 

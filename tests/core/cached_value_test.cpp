@@ -90,13 +90,7 @@ TEST_P(AllRepresentations, MemorySizeNonTrivial) {
 INSTANTIATE_TEST_SUITE_P(
     Representations, AllRepresentations,
     ::testing::ValuesIn(kConcreteRepresentations),
-    [](const ::testing::TestParamInfo<Representation>& info) {
-      std::string name(representation_name(info.param));
-      for (char& ch : name) {
-        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
-      }
-      return name;
-    });
+    testing::representation_test_name);
 
 class IsolatedRepresentations : public ::testing::TestWithParam<Representation> {};
 

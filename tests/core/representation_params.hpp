@@ -1,7 +1,12 @@
 // Parameter lists for representation-parameterized suites, derived from
-// the one list of concrete representations in core/representation.hpp.
+// the one list of concrete representations in core/representation.hpp,
+// and the test-name generator that names their instances.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <string>
 #include <vector>
 
 #include "core/representation.hpp"
@@ -23,6 +28,16 @@ inline std::vector<Representation> copying_representations_and_auto() {
   std::vector<Representation> out = copying_representations();
   out.push_back(Representation::Auto);
   return out;
+}
+
+/// gtest name generator: the representation's display name with every
+/// non-alphanumeric character replaced by '_' ("Copy_by_clone").
+inline std::string representation_test_name(
+    const ::testing::TestParamInfo<Representation>& info) {
+  std::string name(representation_name(info.param));
+  for (char& ch : name)
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  return name;
 }
 
 }  // namespace wsc::cache::testing

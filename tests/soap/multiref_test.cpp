@@ -8,9 +8,9 @@
 #include "soap/dispatcher.hpp"
 #include "soap/serializer.hpp"
 #include "tests/soap/test_service.hpp"
+#include "tests/support/dom.hpp"
 #include "util/error.hpp"
 #include "xml/compact_event_sequence.hpp"
-#include "xml/dom.hpp"
 #include "xml/sax_parser.hpp"
 
 namespace wsc::soap {

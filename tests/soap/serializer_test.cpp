@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "tests/soap/test_service.hpp"
+#include "tests/support/dom.hpp"
 #include "util/error.hpp"
-#include "xml/dom.hpp"
 
 namespace wsc::soap {
 namespace {

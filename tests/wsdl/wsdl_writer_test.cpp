@@ -5,7 +5,7 @@
 #include "services/amazon/service.hpp"
 #include "services/google/service.hpp"
 #include "tests/reflect/test_types.hpp"
-#include "xml/dom.hpp"
+#include "tests/support/dom.hpp"
 
 namespace wsc::wsdl {
 namespace {

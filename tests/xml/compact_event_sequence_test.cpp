@@ -11,10 +11,10 @@
 #include <iterator>
 #include <new>
 
+#include "tests/support/dom.hpp"
 #include "tests/xml/event_log.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
-#include "xml/dom.hpp"
 #include "xml/sax_parser.hpp"
 
 // ---- global allocation counter (for the zero-alloc replay assertion) --------

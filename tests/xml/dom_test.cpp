@@ -1,4 +1,4 @@
-#include "xml/dom.hpp"
+#include "tests/support/dom.hpp"
 
 #include <gtest/gtest.h>
 

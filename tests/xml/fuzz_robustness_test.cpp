@@ -6,8 +6,8 @@
 #include "soap/deserializer.hpp"
 #include "soap/serializer.hpp"
 #include "tests/soap/test_service.hpp"
+#include "tests/support/dom.hpp"
 #include "util/random.hpp"
-#include "xml/dom.hpp"
 #include "xml/sax_parser.hpp"
 
 namespace wsc::xml {

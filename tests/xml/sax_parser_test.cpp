@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/dom.hpp"
 #include "tests/xml/event_log.hpp"
 #include "util/error.hpp"
 #include "xml/compact_event_sequence.hpp"
-#include "xml/dom.hpp"
 
 namespace wsc::xml {
 namespace {

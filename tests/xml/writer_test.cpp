@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/dom.hpp"
 #include "util/error.hpp"
-#include "xml/dom.hpp"
 
 namespace wsc::xml {
 namespace {

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/stats.hpp"
 #include "http/client.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -100,6 +101,13 @@ double prom_value(const std::string& text, std::string_view name) {
   return 0;
 }
 
+/// Lifetime value of one cache counter, its family named by its
+/// kCacheFields row (a counter without a row does not compile).
+double cache_counter(const std::string& prom, cache::CacheStats::Counter c) {
+  return prom_value(prom, obs::family_name(cache::kCacheMetricPrefix,
+                                           cache::kCacheFields[c.row]));
+}
+
 std::string human_bytes(double bytes) {
   const char* units[] = {"B", "KiB", "MiB", "GiB"};
   int u = 0;
@@ -144,8 +152,9 @@ void draw_frame(const Args& args, const std::string& prom,
                 const util::json::Value& profiles,
                 const util::json::Value& adaptive,
                 const util::json::Value& events) {
-  const double hits = prom_value(prom, "wsc_cache_hits_total");
-  const double misses = prom_value(prom, "wsc_cache_misses_total");
+  using cache::StatsSnapshot;
+  const double hits = cache_counter(prom, &StatsSnapshot::hits);
+  const double misses = cache_counter(prom, &StatsSnapshot::misses);
   // The cache counters are collector samples (no windowed twin in the
   // exposition); the rolling view comes from the profile rows instead.
   double hits_w = 0, misses_w = 0;
@@ -168,18 +177,18 @@ void draw_frame(const Args& args, const std::string& prom,
   std::printf(
       "stores %.0f  evictions %.0f  stale serves %.0f  retries %.0f  "
       "breaker opens %.0f\n",
-      prom_value(prom, "wsc_cache_stores_total"),
-      prom_value(prom, "wsc_cache_evictions_total"),
-      prom_value(prom, "wsc_cache_stale_serves_total"),
-      prom_value(prom, "wsc_cache_transport_retries_total"),
-      prom_value(prom, "wsc_cache_breaker_opens_total"));
+      cache_counter(prom, &StatsSnapshot::stores),
+      cache_counter(prom, &StatsSnapshot::evictions),
+      cache_counter(prom, &StatsSnapshot::stale_serves),
+      cache_counter(prom, &StatsSnapshot::transport_retries),
+      cache_counter(prom, &StatsSnapshot::breaker_opens));
   std::printf(
       "anti-herd: coalesced waits %.0f (%.0f failed)  swr serves %.0f  "
       "refresh-ahead %.0f\n",
-      prom_value(prom, "wsc_cache_coalesced_waits_total"),
-      prom_value(prom, "wsc_cache_coalesced_failures_total"),
-      prom_value(prom, "wsc_cache_stale_while_revalidate_served_total"),
-      prom_value(prom, "wsc_cache_refresh_ahead_triggered_total"));
+      cache_counter(prom, &StatsSnapshot::coalesced_waits),
+      cache_counter(prom, &StatsSnapshot::coalesced_failures),
+      cache_counter(prom, &StatsSnapshot::stale_while_revalidate_served),
+      cache_counter(prom, &StatsSnapshot::refresh_ahead_triggered));
   if (const util::json::Value* cache = profiles.find("cache"))
     std::printf("footprint: %.0f entries, %s\n", cache->number_or("entries"),
                 human_bytes(cache->number_or("bytes")).c_str());

@@ -172,7 +172,7 @@ RunResult run_variant(const std::shared_ptr<transport::Transport>& transport,
         kOp, search_params("p" + std::to_string(last_churn) + "-k" +
                            std::to_string(k)));
     if (std::shared_ptr<const cache::CachedValue> value =
-            response_cache->lookup(key)) {
+            response_cache->lookup(key.ref()).value) {
       bytes += static_cast<double>(value->memory_size());
       ++counted;
       result.final_rep = value->representation();
@@ -216,7 +216,7 @@ void memory_pressure(wsc::bench::BenchJson& json,
     if (k < 8) {
       const cache::CacheKey key =
           client.key_for(kOp, search_params("fill-" + std::to_string(k)));
-      if (auto value = response_cache->lookup(key)) {
+      if (auto value = response_cache->lookup(key.ref()).value) {
         pre_bytes += static_cast<double>(value->memory_size());
         ++pre_counted;
       }
@@ -231,7 +231,7 @@ void memory_pressure(wsc::bench::BenchJson& json,
     client.invoke(kOp, search_params("post-" + std::to_string(k)));
     const cache::CacheKey key =
         client.key_for(kOp, search_params("post-" + std::to_string(k)));
-    if (auto value = response_cache->lookup(key)) {
+    if (auto value = response_cache->lookup(key.ref()).value) {
       post_bytes += static_cast<double>(value->memory_size());
       ++post_counted;
     }

@@ -126,7 +126,7 @@ double run_raw_lookup(bool hot_keys, int ops) {
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < ops; ++i) {
     gen.generate_into(cases[0].request, scratch);
-    if (cache.lookup(scratch.ref()) == nullptr) std::abort();
+    if (cache.lookup(scratch.ref()).value == nullptr) std::abort();
   }
   return ns_per_op(t0, ops);
 }

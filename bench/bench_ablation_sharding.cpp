@@ -176,7 +176,7 @@ ScalePair run_lookup_scaling(int threads, int ops_per_thread,
     if (lru.lookup(keys[(t + i) % keys.size()]) == nullptr) std::abort();
   });
   out.clock = timed(threads, ops_per_thread, [&](int t, int i) {
-    if (clk.lookup(keys[(t + i) % keys.size()].ref()) == nullptr)
+    if (clk.lookup(keys[(t + i) % keys.size()].ref()).value == nullptr)
       std::abort();
   });
   return out;
@@ -208,7 +208,7 @@ ScalePair run_e2e_scaling(int threads, int ops_per_thread,
   out.clock = timed(threads, ops_per_thread, [&](int t, int i) {
     KeyScratch& scratch = scratches[t];
     gen.generate_into(reqs[(t + i) % reqs.size()], scratch);
-    if (clk.lookup(scratch.ref()) == nullptr) std::abort();
+    if (clk.lookup(scratch.ref()).value == nullptr) std::abort();
   });
   return out;
 }
@@ -223,7 +223,7 @@ double run_shard_sweep(std::size_t shards, int clients, int ops_per_client) {
   }
   return timed(clients, ops_per_client, [&](int c, int i) {
     CacheKey k("hot" + std::to_string((c + i) % 16));
-    if (auto v = cache.lookup(k)) {
+    if (auto v = cache.lookup(k.ref()).value) {
       reflect::Object o = v->retrieve();
       (void)o;
     }

@@ -28,9 +28,10 @@
 
 namespace wsc::cache {
 
-/// Borrowed key material + its precomputed hash: what the zero-allocation
-/// hit path passes to ResponseCache::lookup().  Valid only while the
-/// KeyScratch (or string) it views is alive and unmodified.
+/// Borrowed key material + its precomputed hash: the one key type
+/// ResponseCache::lookup() takes (an owned CacheKey passes its ref()).
+/// Valid only while the KeyScratch (or string) it views is alive and
+/// unmodified.
 struct CacheKeyRef {
   std::string_view material;
   std::uint64_t hash = 0;
@@ -101,8 +102,8 @@ class CacheKey {
 ///   scratch.reset();
 ///   ...append material to scratch.buffer()...
 ///   scratch.finish();                 // incremental FNV over new bytes
-///   cache.lookup(scratch.ref());      // zero-alloc probe
-///   CacheKey key = scratch.to_key();  // owned copy (miss path only)
+///   cache.lookup(scratch.ref(), mode);  // zero-alloc probe, any mode
+///   CacheKey key = scratch.to_key();    // owned copy (miss path only)
 class KeyScratch {
  public:
   /// The material buffer; generators append directly (capacity is kept

@@ -13,13 +13,57 @@ namespace wsc::cache {
 
 namespace {
 
+/// The soft TTL store()/refresh() arm for an operation: the configured
+/// fraction of the hard TTL, or zero (disabled) outside (0, 1).
+std::chrono::milliseconds soft_ttl_for(const OperationPolicy& policy) {
+  if (policy.refresh_ahead <= 0.0 || policy.refresh_ahead >= 1.0)
+    return std::chrono::milliseconds(0);
+  return std::chrono::milliseconds(static_cast<std::chrono::milliseconds::rep>(
+      static_cast<double>(policy.ttl.count()) * policy.refresh_ahead));
+}
+
+/// The common tail of every serve from a cached value (hit, stale-while-
+/// revalidate, coalesced follower, raced leader, 304, stale-on-error):
+/// label the trace, then one timed retrieve().
+reflect::Object serve(obs::CallTrace& trace, const CachedValue& value,
+                      obs::Outcome outcome) {
+  trace.set_representation(representation_name(value.representation()));
+  trace.set_outcome(outcome);
+  obs::StageTimer timer(trace, obs::Stage::Retrieve);
+  return value.retrieve();
+}
+
+/// Whether a failed call is an availability failure that a stale-if-error
+/// grace may absorb.  A SoapFault (or any other error) is the origin's
+/// answer, not its absence.
+bool origin_unavailable(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const HttpError& e) {
+    // 5xx without a SOAP fault envelope: the origin itself is failing.
+    return e.status() >= 500;
+  } catch (const TransportError&) {
+    // Retries, deadline, and breaker are all below us (RetryingTransport);
+    // reaching here means the wire call failed for good.
+    return true;
+  } catch (const ParseError&) {
+    // The origin answered, but with a document we cannot parse (truncated
+    // or corrupt XML from a degrading server) — an availability failure
+    // from the application's point of view, same as no answer at all.
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+}  // namespace
+
 /// Leader-side RAII over a single-flight handle: the flight is finished
 /// exactly once no matter how the leader's frame exits.  An armed guard
 /// destroyed without an explicit outcome FAILS the flight (rather than
 /// strand followers until their timeouts) — that covers abandoned
-/// background-refresh closures and any unwinding path the typed handlers
-/// below do not catch.
-class FlightGuard {
+/// background-refresh closures and any other unwinding path.
+class CachingServiceClient::FlightGuard {
  public:
   FlightGuard(ResponseCache& cache, ResponseCache::FlightHandle handle)
       : cache_(&cache), handle_(std::move(handle)) {}
@@ -46,17 +90,6 @@ class FlightGuard {
   ResponseCache::FlightHandle handle_;
   bool armed_ = true;
 };
-
-/// The soft TTL store()/refresh() arm for an operation: the configured
-/// fraction of the hard TTL, or zero (disabled) outside (0, 1).
-std::chrono::milliseconds soft_ttl_for(const OperationPolicy& policy) {
-  if (policy.refresh_ahead <= 0.0 || policy.refresh_ahead >= 1.0)
-    return std::chrono::milliseconds(0);
-  return std::chrono::milliseconds(static_cast<std::chrono::milliseconds::rep>(
-      static_cast<double>(policy.ttl.count()) * policy.refresh_ahead));
-}
-
-}  // namespace
 
 void bind_transport_stats(transport::RetryingTransport& transport,
                           std::shared_ptr<ResponseCache> cache) {
@@ -181,14 +214,6 @@ reflect::Object CachingServiceClient::invoke(
       hit_t0 = obs::now_ns();
     }
   }
-  const auto record_profile_hit = [&](const CachedValue& value) {
-    if (profile_hit_sample) [[unlikely]]
-      profiles->record_hit(
-          description_->name(), operation,
-          representation_name(value.representation()),
-          obs::now_ns() - hit_t0,
-          options_.profile_sample_every ? options_.profile_sample_every : 1);
-  };
 
   // Zero-allocation keygen fast path: the key material is built into a
   // per-thread reusable scratch (no owned CacheKey, no heap traffic once
@@ -202,86 +227,62 @@ reflect::Object CachingServiceClient::invoke(
     obs::StageTimer timer(trace, obs::Stage::KeyGen);
     keygen_->generate_into(request, scratch);
   }
-  const bool allow_stale = policy.staleness.stale_if_error.count() > 0;
   const bool swr_on = policy.staleness.stale_while_revalidate.count() > 0;
-  const bool refresh_ahead_on = policy.refresh_ahead > 0.0;
   // Revalidation (§3.2 HTTP hook): a stale entry with a Last-Modified may
   // be renewed by a conditional request instead of refetched.  A
-  // stale-if-error grace needs the same stale-exposing lookup: the plain
-  // lookup() eagerly evicts an expired entry, which would destroy the
+  // stale-if-error grace needs the stale-exposing lookup too: the Fresh
+  // lookup eagerly evicts an expired entry, which would destroy the
   // degraded-mode fallback before the wire call gets a chance to fail.
   // stale-while-revalidate needs it for the same reason, and refresh-ahead
-  // needs it because only this lookup can win the soft-TTL claim.
+  // needs it because only a Stale lookup can win the soft-TTL claim.
+  const bool needs_stale = policy.revalidate || swr_on ||
+                           policy.staleness.stale_if_error.count() > 0 ||
+                           policy.refresh_ahead > 0.0;
+  const ResponseCache::LookupResult found = [&] {
+    obs::StageTimer timer(trace, obs::Stage::Lookup);
+    return cache_->lookup(scratch.ref(), needs_stale
+                                             ? ResponseCache::Lookup::Stale
+                                             : ResponseCache::Lookup::Fresh);
+  }();
+  if (found.fresh) {
+    reflect::Object object = serve(trace, *found.value, obs::Outcome::Hit);
+    if (profile_hit_sample) [[unlikely]]
+      profiles->record_hit(
+          description_->name(), operation,
+          representation_name(found.value->representation()),
+          obs::now_ns() - hit_t0, options_.profile_sample_every);
+    if (found.refresh_ahead) {
+      // This hit won the entry's one-shot soft-TTL claim: renew the entry
+      // in the background before it ever expires.  If scheduling fails
+      // (queue saturated, flights down), nothing is lost — the entry
+      // simply expires and the next miss fetches synchronously.
+      cache_->counters().add(&StatsSnapshot::refresh_ahead_triggered);
+      obs::event_log().emit(obs::EventKind::RefreshAhead,
+                            description_->name() + "." + operation,
+                            "soft TTL elapsed; refreshing ahead of expiry");
+      schedule_refresh(request, op, policy, scratch.to_key());
+    }
+    return object;
+  }
+  // Only a Stale lookup exposes an expired entry.
+  const bool had_stale_entry = found.value != nullptr;
   std::optional<std::chrono::seconds> revalidate_since;
-  bool had_stale_entry = false;
-  if (policy.revalidate || allow_stale || swr_on || refresh_ahead_on) {
-    ResponseCache::StaleLookup stale = [&] {
-      obs::StageTimer timer(trace, obs::Stage::Lookup);
-      return cache_->lookup_for_revalidation(scratch.ref());
-    }();
-    if (stale.fresh) {
-      trace.set_representation(
-          representation_name(stale.value->representation()));
-      trace.set_outcome(obs::Outcome::Hit);
-      reflect::Object object = [&] {
-        obs::StageTimer timer(trace, obs::Stage::Retrieve);
-        return stale.value->retrieve();
-      }();
-      record_profile_hit(*stale.value);
-      if (stale.refresh_ahead) {
-        // This hit won the entry's one-shot soft-TTL claim: renew the
-        // entry in the background before it ever expires.  If scheduling
-        // fails (queue saturated, flights down), nothing is lost — the
-        // entry simply expires and the next miss fetches synchronously.
-        cache_->counters().add(&StatsSnapshot::refresh_ahead_triggered);
-        obs::event_log().emit(
-            obs::EventKind::RefreshAhead,
-            description_->name() + "." + operation,
-            "soft TTL elapsed; refreshing ahead of expiry");
-        schedule_refresh(operation, request, op, policy, scratch.to_key());
-      }
-      return object;
+  if (had_stale_entry) {
+    // RFC 5861 stale-while-revalidate: the entry expired within the grace,
+    // so serve it NOW and let one background refresh renew it — a
+    // TTL-expiry storm on a hot key never parks callers on the wire.  If
+    // no refresh will run, fall through to the synchronous miss path.
+    if (swr_on &&
+        found.staleness <= policy.staleness.stale_while_revalidate &&
+        schedule_refresh(request, op, policy, scratch.to_key())) {
+      cache_->counters().add(&StatsSnapshot::stale_while_revalidate_served);
+      if (profiles) [[unlikely]]
+        profiles->record_stale(
+            description_->name(), operation,
+            representation_name(found.value->representation()));
+      return serve(trace, *found.value, obs::Outcome::StaleRevalidate);
     }
-    if (stale.value) {
-      had_stale_entry = true;
-      if (swr_on &&
-          stale.staleness <= policy.staleness.stale_while_revalidate) {
-        // RFC 5861 stale-while-revalidate: the entry expired within the
-        // grace, so serve it NOW and let one background refresh renew it —
-        // a TTL-expiry storm on a hot key never parks callers on the wire.
-        if (schedule_refresh(operation, request, op, policy,
-                             scratch.to_key())) {
-          cache_->counters().add(
-              &StatsSnapshot::stale_while_revalidate_served);
-          if (profiles) [[unlikely]]
-            profiles->record_stale(
-                description_->name(), operation,
-                representation_name(stale.value->representation()));
-          trace.set_representation(
-              representation_name(stale.value->representation()));
-          trace.set_outcome(obs::Outcome::StaleRevalidate);
-          obs::StageTimer timer(trace, obs::Stage::Retrieve);
-          return stale.value->retrieve();
-        }
-        // No refresh will run: fall through to the synchronous miss path.
-      }
-      if (policy.revalidate) revalidate_since = stale.last_modified;
-    }
-  } else {
-    std::shared_ptr<const CachedValue> value = [&] {
-      obs::StageTimer timer(trace, obs::Stage::Lookup);
-      return cache_->lookup(scratch.ref());
-    }();
-    if (value) {
-      trace.set_representation(representation_name(value->representation()));
-      trace.set_outcome(obs::Outcome::Hit);
-      reflect::Object object = [&] {
-        obs::StageTimer timer(trace, obs::Stage::Retrieve);
-        return value->retrieve();
-      }();
-      record_profile_hit(*value);
-      return object;
-    }
+    if (policy.revalidate) revalidate_since = found.last_modified;
   }
 
   // Miss path from here on: materialize the owned key once.
@@ -292,9 +293,7 @@ reflect::Object CachingServiceClient::invoke(
   // whether to tee the events.
   const ResolvedRepresentation resolved =
       resolve_representation(policy, op, operation);
-  const Representation rep = resolved.representation;
-  const bool record_events = rep == Representation::SaxEvents;
-  trace.set_representation(representation_name(rep));
+  trace.set_representation(representation_name(resolved.representation));
 
   // Single-flight: join (or open) this key's in-flight call.  First joiner
   // leads and makes the wire call below; everyone else parks here.
@@ -304,15 +303,10 @@ reflect::Object CachingServiceClient::invoke(
     ResponseCache::FlightResult led =
         cache_->wait_flight(flight, options_.coalesce_wait);
     switch (led.outcome) {
-      case ResponseCache::FlightWait::Value: {
+      case ResponseCache::FlightWait::Value:
         // The leader stored a fresh entry and handed it over directly.
         if (had_stale_entry) cache_->counters().add(&StatsSnapshot::misses);
-        trace.set_representation(
-            representation_name(led.value->representation()));
-        trace.set_outcome(obs::Outcome::Coalesced);
-        obs::StageTimer timer(trace, obs::Stage::Retrieve);
-        return led.value->retrieve();
-      }
+        return serve(trace, *led.value, obs::Outcome::Coalesced);
       case ResponseCache::FlightWait::Error:
         // The ONE broadcast failure.  Each follower makes its own
         // degraded-mode decision, exactly as if it had called and failed.
@@ -340,17 +334,14 @@ reflect::Object CachingServiceClient::invoke(
   std::optional<FlightGuard> guard;
   if (flight && flight.leader) {
     // Close the lookup->join window: a previous leader may have completed
-    // and stored between our miss and our winning leadership.  Probe
-    // side-effect-free so the race check never pollutes hit/miss counts.
-    ResponseCache::StaleLookup raced = cache_->lookup_allow_stale(key);
+    // and stored between our miss and our winning leadership.  Peek so the
+    // race check never pollutes hit/miss counts.
+    ResponseCache::LookupResult raced =
+        cache_->lookup(key.ref(), ResponseCache::Lookup::Peek);
     if (raced.fresh) {
       cache_->complete_flight(flight, raced.value);
       if (had_stale_entry) cache_->counters().add(&StatsSnapshot::misses);
-      trace.set_representation(
-          representation_name(raced.value->representation()));
-      trace.set_outcome(obs::Outcome::Coalesced);
-      obs::StageTimer timer(trace, obs::Stage::Retrieve);
-      return raced.value->retrieve();
+      return serve(trace, *raced.value, obs::Outcome::Coalesced);
     }
     guard.emplace(*cache_, std::move(flight));
   }
@@ -358,63 +349,69 @@ reflect::Object CachingServiceClient::invoke(
   const std::uint64_t miss_t0 =
       options_.slow_call_threshold_ns ? obs::now_ns() : 0;
 
-  CallResult result;
+  Fetched fetched;
   try {
-    result = remote_call(trace, request, op, record_events, revalidate_since);
-
-    if (result.not_modified) {
-      // 304: the stale representation is still current — renew its lease
-      // and serve from it (no reparse, no re-store).
-      if (cache_->refresh(key, policy.ttl, soft_ttl_for(policy))) {
-        if (std::shared_ptr<const CachedValue> value = cache_->lookup(key)) {
-          if (guard) guard->complete(value);
-          trace.set_outcome(obs::Outcome::Revalidated);
-          obs::StageTimer timer(trace, obs::Stage::Retrieve);
-          return value->retrieve();
-        }
-      }
-      // The entry was evicted while we revalidated: refetch unconditionally.
-      result = remote_call(trace, request, op, record_events);
-    }
-  } catch (const HttpError& error) {
+    fetched = fetch_and_store(trace, request, op, policy, key, resolved,
+                              revalidate_since, guard ? &*guard : nullptr,
+                              /*count_miss=*/true);
+  } catch (...) {
     // Broadcast the failure BEFORE degrading locally: followers wake with
     // the one error and make their own stale-if-error decisions.
     if (guard) guard->fail(std::current_exception());
-    // 5xx without a SOAP fault envelope: the origin itself is failing.
-    if (error.status() >= 500)
+    if (origin_unavailable(std::current_exception()))
       if (std::optional<reflect::Object> stale =
               serve_stale_on_error(trace, operation, key, policy))
         return *stale;
     throw;
-  } catch (const TransportError&) {
-    // Retries, deadline, and breaker are all below us (RetryingTransport);
-    // reaching here means the wire call failed for good.
-    if (guard) guard->fail(std::current_exception());
-    if (std::optional<reflect::Object> stale =
-            serve_stale_on_error(trace, operation, key, policy))
-      return *stale;
-    throw;
-  } catch (const ParseError&) {
-    // The origin answered, but with a document we cannot parse (truncated
-    // or corrupt XML from a degrading server) — an availability failure
-    // from the application's point of view, same as no answer at all.
-    if (guard) guard->fail(std::current_exception());
-    if (std::optional<reflect::Object> stale =
-            serve_stale_on_error(trace, operation, key, policy))
-      return *stale;
-    throw;
-  } catch (...) {
-    // SoapFault and everything else: still exactly one broadcast.
-    if (guard) guard->fail(std::current_exception());
-    throw;
+  }
+  if (fetched.revalidated) {
+    // 304: the renewed entry answers this call as a hit.
+    cache_->counters().add(&StatsSnapshot::hits);
+    return serve(trace, *fetched.value, obs::Outcome::Revalidated);
   }
   if (had_stale_entry)
     cache_->counters().add(&StatsSnapshot::misses);  // stale + changed
+  if (options_.slow_call_threshold_ns) [[unlikely]] {
+    const std::uint64_t elapsed = obs::now_ns() - miss_t0;
+    if (elapsed > options_.slow_call_threshold_ns)
+      obs::event_log().emit(obs::EventKind::SlowCall,
+                            description_->name() + "." + operation,
+                            "miss path exceeded slow-call threshold", elapsed);
+  }
+  return std::move(fetched.object);
+}
+
+CachingServiceClient::Fetched CachingServiceClient::fetch_and_store(
+    obs::CallTrace& trace, const soap::RpcRequest& request,
+    const wsdl::OperationInfo& op, const OperationPolicy& policy,
+    const CacheKey& key, const ResolvedRepresentation& resolved,
+    std::optional<std::chrono::seconds> since, FlightGuard* guard,
+    bool count_miss) {
+  const std::string& operation = request.operation;
+  const Representation rep = resolved.representation;
+  const bool record_events = rep == Representation::SaxEvents;
+  CallResult result = remote_call(trace, request, op, record_events, since);
+  if (result.not_modified) {
+    // 304: the stale representation is still current — renew its lease
+    // and answer from the value refresh() hands back (no reparse, no
+    // re-store, no second lookup that a concurrent eviction could miss).
+    if (std::shared_ptr<const CachedValue> value =
+            cache_->refresh(key, policy.ttl, soft_ttl_for(policy))) {
+      if (guard) guard->complete(value);
+      trace.set_outcome(obs::Outcome::Revalidated);
+      return {std::move(value), {}, /*revalidated=*/true};
+    }
+    // The entry was evicted while we revalidated: refetch unconditionally.
+    result = remote_call(trace, request, op, record_events);
+  }
   trace.set_outcome(obs::Outcome::Miss);
 
-  std::optional<std::chrono::milliseconds> ttl =
-      options_.policy.effective_ttl(policy, result.directives);
-  if (ttl) {
+  obs::CostProfiles* const profiles = options_.profiles.get();
+  std::shared_ptr<const CachedValue> value;
+  std::uint64_t store_ns = 0;
+  std::uint64_t entry_bytes = 0;
+  if (std::optional<std::chrono::milliseconds> ttl =
+          options_.policy.effective_ttl(policy, result.directives)) {
     obs::StageTimer timer(trace, obs::Stage::Store);
     ResponseCapture capture;
     capture.response_xml = &result.response_xml;
@@ -424,42 +421,40 @@ reflect::Object CachingServiceClient::invoke(
     // Store cost for the profile = representation capture + cache insert
     // (the Table 8 store-side cost of the chosen representation).
     const std::uint64_t store_t0 = profiles ? obs::now_ns() : 0;
-    std::shared_ptr<const CachedValue> value = make_cached_value(rep, capture);
-    const std::uint64_t entry_bytes =
-        profiles ? key.memory_size() + value->memory_size() : 0;
+    value = make_cached_value(rep, capture);
     cache_->store(key, value, *ttl, result.last_modified,
                   soft_ttl_for(policy));
-    // Wake followers AFTER the store, with the stored value itself: they
-    // retrieve() directly, no second lookup, no window to miss in.
-    if (guard) guard->complete(std::move(value));
-    if (profiles) [[unlikely]]
-      profiles->record_miss(description_->name(), operation,
-                            representation_name(rep), result.deserialize_ns,
-                            obs::now_ns() - store_t0, entry_bytes);
-    // Adaptive exploration: a sampled store also shadow-probes one
-    // alternative representation from the same captured response.  After
-    // the store and the flight completion, so probing never delays the
-    // answer or any parked follower.
-    if (resolved.probe != Representation::Auto) [[unlikely]]
-      run_probe(op, operation, resolved.probe, result, key);
+    if (profiles) {
+      store_ns = obs::now_ns() - store_t0;
+      entry_bytes = key.memory_size() + value->memory_size();
+    }
   } else {
     util::log(util::LogLevel::Debug, "server directives suppressed caching of ",
               operation);
-    // Nothing stored: followers wake with NoValue and call on their own.
-    if (guard) guard->complete(nullptr);
-    if (profiles) [[unlikely]]
+  }
+  // Wake followers AFTER the store, with the stored value itself: they
+  // retrieve() directly, no second lookup, no window to miss in.  A null
+  // value (nothing stored) wakes them with NoValue to call on their own.
+  if (guard) guard->complete(value);
+  if (profiles) [[unlikely]] {
+    // A background refresh feeds the samples but counts no miss: its
+    // request was already counted as a hit in the foreground.
+    if (count_miss)
       profiles->record_miss(description_->name(), operation,
                             representation_name(rep), result.deserialize_ns,
-                            /*store_ns=*/0, /*bytes=*/0);
+                            store_ns, entry_bytes);
+    else
+      profiles->record_fetch(description_->name(), operation,
+                             representation_name(rep), result.deserialize_ns,
+                             store_ns, entry_bytes);
   }
-  if (options_.slow_call_threshold_ns) [[unlikely]] {
-    const std::uint64_t elapsed = obs::now_ns() - miss_t0;
-    if (elapsed > options_.slow_call_threshold_ns)
-      obs::event_log().emit(obs::EventKind::SlowCall,
-                            description_->name() + "." + operation,
-                            "miss path exceeded slow-call threshold", elapsed);
-  }
-  return result.object;
+  // Adaptive exploration: a sampled store also shadow-probes one
+  // alternative representation from the same captured response.  After
+  // the store and the flight completion, so probing never delays the
+  // answer or any parked follower.
+  if (value && resolved.probe != Representation::Auto) [[unlikely]]
+    run_probe(op, operation, resolved.probe, result, key);
+  return {std::move(value), std::move(result.object), /*revalidated=*/false};
 }
 
 CachingServiceClient::ResolvedRepresentation
@@ -536,8 +531,7 @@ void CachingServiceClient::run_probe(const wsdl::OperationInfo& op,
   }
 }
 
-bool CachingServiceClient::schedule_refresh(const std::string& operation,
-                                            const soap::RpcRequest& request,
+bool CachingServiceClient::schedule_refresh(const soap::RpcRequest& request,
                                             const wsdl::OperationInfo& op,
                                             const OperationPolicy& policy,
                                             const CacheKey& key) {
@@ -551,10 +545,21 @@ bool CachingServiceClient::schedule_refresh(const std::string& operation,
   // a shared_ptr; whichever copy dies last (queue slot, worker frame, or
   // this frame) settles the flight if nothing else did.
   auto guard = std::make_shared<FlightGuard>(*cache_, std::move(handle));
-  auto job = [this, guard, operation, request, shared = share_op(op), policy,
-              key]() {
+  auto job = [this, guard, request, shared = share_op(op), policy, key]() {
     try {
-      guard->complete(perform_refresh(operation, request, *shared, policy, key));
+      // Background refreshes trace like any call (they show up in /trace)
+      // but count NO hit or miss: the foreground caller already accounted
+      // for this request.
+      obs::CallTrace trace(description_->name(), request.operation);
+      const ResolvedRepresentation resolved =
+          resolve_representation(policy, *shared, request.operation);
+      trace.set_representation(representation_name(resolved.representation));
+      std::optional<std::chrono::seconds> since;
+      if (policy.revalidate)
+        since = cache_->lookup(key.ref(), ResponseCache::Lookup::Peek)
+                    .last_modified;
+      fetch_and_store(trace, request, *shared, policy, key, resolved, since,
+                      guard.get(), /*count_miss=*/false);
     } catch (...) {
       guard->fail(std::current_exception());
     }
@@ -566,60 +571,6 @@ bool CachingServiceClient::schedule_refresh(const std::string& operation,
   return false;
 }
 
-std::shared_ptr<const CachedValue> CachingServiceClient::perform_refresh(
-    const std::string& operation, const soap::RpcRequest& request,
-    const wsdl::OperationInfo& op, const OperationPolicy& policy,
-    const CacheKey& key) {
-  // Background refreshes trace like any call (they show up in /trace and
-  // the slow-call log) but deliberately touch NO hit/miss counters: the
-  // foreground caller already accounted for this request.
-  obs::CallTrace trace(description_->name(), operation);
-  const ResolvedRepresentation resolved =
-      resolve_representation(policy, op, operation);
-  const Representation rep = resolved.representation;
-  const bool record_events = rep == Representation::SaxEvents;
-  trace.set_representation(representation_name(rep));
-  std::optional<std::chrono::seconds> since;
-  if (policy.revalidate)
-    since = cache_->lookup_allow_stale(key).last_modified;
-
-  CallResult result = remote_call(trace, request, op, record_events, since);
-  if (result.not_modified) {
-    // 304: renew the lease (re-arming the soft TTL) and hand the still-
-    // current value to any flight followers.
-    if (cache_->refresh(key, policy.ttl, soft_ttl_for(policy))) {
-      trace.set_outcome(obs::Outcome::Revalidated);
-      return cache_->lookup_allow_stale(key).value;
-    }
-    result = remote_call(trace, request, op, record_events);
-  }
-
-  trace.set_outcome(obs::Outcome::Miss);
-  std::optional<std::chrono::milliseconds> ttl =
-      options_.policy.effective_ttl(policy, result.directives);
-  if (!ttl) return nullptr;  // directives suppressed the store
-
-  obs::StageTimer timer(trace, obs::Stage::Store);
-  ResponseCapture capture;
-  capture.response_xml = &result.response_xml;
-  capture.events = &result.events;
-  capture.object = result.object;
-  capture.op = share_op(op);
-  obs::CostProfiles* const profiles = options_.profiles.get();
-  const std::uint64_t store_t0 = profiles ? obs::now_ns() : 0;
-  std::shared_ptr<const CachedValue> value = make_cached_value(rep, capture);
-  const std::uint64_t entry_bytes =
-      profiles ? key.memory_size() + value->memory_size() : 0;
-  cache_->store(key, value, *ttl, result.last_modified, soft_ttl_for(policy));
-  if (profiles) [[unlikely]]
-    profiles->record_miss(description_->name(), operation,
-                          representation_name(rep), result.deserialize_ns,
-                          obs::now_ns() - store_t0, entry_bytes);
-  if (resolved.probe != Representation::Auto) [[unlikely]]
-    run_probe(op, operation, resolved.probe, result, key);
-  return value;
-}
-
 std::optional<reflect::Object> CachingServiceClient::serve_stale_on_error(
     obs::CallTrace& trace, const std::string& operation, const CacheKey& key,
     const OperationPolicy& policy) {
@@ -627,7 +578,8 @@ std::optional<reflect::Object> CachingServiceClient::serve_stale_on_error(
   // Re-read at failure time, not from the pre-call lookup: the entry may
   // have been refreshed by a concurrent caller (serve that), and the
   // staleness must be measured now — retries and backoff took time.
-  ResponseCache::StaleLookup entry = cache_->lookup_allow_stale(key);
+  ResponseCache::LookupResult entry =
+      cache_->lookup(key.ref(), ResponseCache::Lookup::Peek);
   if (!entry.value) return std::nullopt;
   if (!entry.fresh && entry.staleness > policy.staleness.stale_if_error)
     return std::nullopt;  // too stale even for degraded mode
@@ -642,9 +594,7 @@ std::optional<reflect::Object> CachingServiceClient::serve_stale_on_error(
   util::log(util::LogLevel::Debug,
             "origin unavailable: serving stale cache entry within "
             "stale_if_error grace");
-  trace.set_outcome(obs::Outcome::StaleServe);
-  obs::StageTimer timer(trace, obs::Stage::Retrieve);
-  return entry.value->retrieve();
+  return serve(trace, *entry.value, obs::Outcome::StaleServe);
 }
 
 CachingServiceClient::CallResult CachingServiceClient::remote_call(

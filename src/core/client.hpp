@@ -173,23 +173,42 @@ class CachingServiceClient {
                  Representation probe, const CallResult& result,
                  const CacheKey& key);
 
+  /// Leader-side RAII over a single-flight handle (defined in the .cpp).
+  class FlightGuard;
+
   /// Arrange ONE asynchronous refresh of `key` (SWR and refresh-ahead).
   /// Returns true when a refresh is now running or already was in flight;
   /// false when none will happen (queue saturated or flights shut down) —
   /// the caller must fall back to a synchronous call or let the entry
-  /// expire.
-  bool schedule_refresh(const std::string& operation,
-                        const soap::RpcRequest& request,
+  /// expire.  The refresh runs fetch_and_store() on the RefreshQueue
+  /// worker.
+  bool schedule_refresh(const soap::RpcRequest& request,
                         const wsdl::OperationInfo& op,
                         const OperationPolicy& policy, const CacheKey& key);
 
-  /// Body of a background refresh: wire call (revalidating when possible),
-  /// store, return the stored value (null when directives suppressed the
-  /// store).  Runs on the RefreshQueue worker; throws on failure.
-  std::shared_ptr<const CachedValue> perform_refresh(
-      const std::string& operation, const soap::RpcRequest& request,
-      const wsdl::OperationInfo& op, const OperationPolicy& policy,
-      const CacheKey& key);
+  /// What fetch_and_store() ended with.
+  struct Fetched {
+    /// The stored or renewed entry's value; null when directives
+    /// suppressed the store.
+    std::shared_ptr<const CachedValue> value;
+    reflect::Object object;    // the fresh answer (empty after a 304)
+    bool revalidated = false;  // 304: `value` is the renewed entry
+  };
+
+  /// The one fetch-and-store of the foreground miss path and background
+  /// refreshes: wire call (conditional when `since` is set); on 304, renew
+  /// the entry with refresh() and hand back its value, refetching
+  /// unconditionally if it vanished; otherwise store under the policy's
+  /// effective TTL.  Then complete `guard`'s flight (if any), feed the cost
+  /// profile (counting a miss only when `count_miss`) and run any shadow
+  /// probe.  Throws on wire, parse and SOAP failures.
+  Fetched fetch_and_store(obs::CallTrace& trace,
+                          const soap::RpcRequest& request,
+                          const wsdl::OperationInfo& op,
+                          const OperationPolicy& policy, const CacheKey& key,
+                          const ResolvedRepresentation& resolved,
+                          std::optional<std::chrono::seconds> since,
+                          FlightGuard* guard, bool count_miss);
 
   soap::RpcRequest build_request(const std::string& operation,
                                  std::vector<soap::Parameter> params) const;

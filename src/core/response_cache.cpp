@@ -72,12 +72,14 @@ ResponseCache::ResponseCache(Config config, const util::Clock& clock)
 
 ResponseCache::~ResponseCache() { shutdown_flights(); }
 
-template <typename KeyLike>
-std::shared_ptr<const CachedValue> ResponseCache::lookup_impl(
-    const KeyLike& key) {
-  Shard& shard = shard_for_hash(CacheKey::Hasher{}(key));
-  maybe_track_hot_key(shard, key);
+ResponseCache::LookupResult ResponseCache::lookup(const CacheKeyRef& key,
+                                                  Lookup mode) {
+  Shard& shard = shard_for_hash(key.hash);
+  const bool counted = mode != Lookup::Peek;
+  if (counted && hot_enabled_.load(std::memory_order_acquire)) [[unlikely]]
+    offer_hot_key(shard, key.material);
   const Tick now = tick(clock_->now());
+  LookupResult out;
   {
     // Fast path: shared lock only.  A hit reads the map, checks the atomic
     // expiry tick, sets the CLOCK mark (relaxed — it is a recency hint,
@@ -87,44 +89,60 @@ std::shared_ptr<const CachedValue> ResponseCache::lookup_impl(
     std::shared_lock lock(shard.mu);
     auto it = shard.map.find(key);
     if (it == shard.map.end()) {
-      stats_.add(&StatsSnapshot::misses);
-      return nullptr;
+      if (counted) stats_.add(&StatsSnapshot::misses);
+      return out;
     }
-    if (now < it->second.expiry.load(std::memory_order_acquire)) {
-      it->second.mark.store(true, std::memory_order_relaxed);
+    Entry& entry = it->second;
+    const Tick expiry = entry.expiry.load(std::memory_order_acquire);
+    if (now < expiry) {
+      out.value = entry.value;
+      out.fresh = true;
+      out.last_modified = entry.last_modified;
+      if (!counted) return out;
+      entry.mark.store(true, std::memory_order_relaxed);
       stats_.add(&StatsSnapshot::hits);
-      return it->second.value;
+      // Soft-TTL refresh-ahead: past the soft expiry, exactly one Stale hit
+      // wins the claim (CAS to the 0 sentinel) and owes a background
+      // refresh.
+      Tick soft = entry.soft_expiry.load(std::memory_order_relaxed);
+      if (mode == Lookup::Stale && soft != Tick{0} && now >= soft &&
+          entry.soft_expiry.compare_exchange_strong(soft, Tick{0},
+                                                    std::memory_order_relaxed))
+        out.refresh_ahead = true;
+      return out;
+    }
+    if (mode != Lookup::Fresh) {
+      // Expose the expired entry and leave it alone: its outcome — refresh
+      // vs re-store vs drop vs degraded serve — is the caller's.
+      out.value = entry.value;
+      out.last_modified = entry.last_modified;
+      out.staleness = util::Duration(now - expiry);
+      return out;
     }
   }
-  // Rare path: the entry expired.  Re-find under the unique lock (it may
-  // have been refreshed, replaced, or erased since we dropped the shared
-  // lock) and lazily remove it if it is still dead.
+  // Rare Fresh path: the entry expired.  Re-find under the unique lock (it
+  // may have been refreshed, replaced, or erased since we dropped the
+  // shared lock) and lazily remove it if it is still dead.
   std::unique_lock lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
     stats_.add(&StatsSnapshot::misses);
-    return nullptr;
+    return out;
   }
-  if (tick(clock_->now()) <
-      it->second.expiry.load(std::memory_order_acquire)) {
+  Entry& entry = it->second;
+  if (tick(clock_->now()) < entry.expiry.load(std::memory_order_acquire)) {
     // Raced with a concurrent store/refresh that revived the entry.
-    it->second.mark.store(true, std::memory_order_relaxed);
+    entry.mark.store(true, std::memory_order_relaxed);
     stats_.add(&StatsSnapshot::hits);
-    return it->second.value;
+    out.value = entry.value;
+    out.fresh = true;
+    out.last_modified = entry.last_modified;
+    return out;
   }
   erase_locked(shard, it);
   stats_.add(&StatsSnapshot::expirations);
   stats_.add(&StatsSnapshot::misses);
-  return nullptr;
-}
-
-std::shared_ptr<const CachedValue> ResponseCache::lookup(const CacheKey& key) {
-  return lookup_impl(key);
-}
-
-std::shared_ptr<const CachedValue> ResponseCache::lookup(
-    const CacheKeyRef& key) {
-  return lookup_impl(key);
+  return out;
 }
 
 void ResponseCache::store(const CacheKey& key,
@@ -194,77 +212,16 @@ void ResponseCache::store(const CacheKey& key,
   }
 }
 
-template <typename KeyLike>
-ResponseCache::StaleLookup ResponseCache::lookup_for_revalidation_impl(
-    const KeyLike& key) {
-  Shard& shard = shard_for_hash(CacheKey::Hasher{}(key));
-  maybe_track_hot_key(shard, key);
-  // Shared lock throughout: the fresh path only marks + counts, and the
-  // stale path deliberately leaves the entry alone (its outcome — refresh
-  // vs re-store vs drop — is the caller's).
-  std::shared_lock lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    stats_.add(&StatsSnapshot::misses);
-    return {};
-  }
-  StaleLookup out;
-  out.value = it->second.value;
-  out.last_modified = it->second.last_modified;
-  const Tick now = tick(clock_->now());
-  const Tick expiry = it->second.expiry.load(std::memory_order_acquire);
-  out.fresh = now < expiry;
-  if (out.fresh) {
-    it->second.mark.store(true, std::memory_order_relaxed);
-    stats_.add(&StatsSnapshot::hits);
-    // Soft-TTL refresh-ahead: past the soft expiry, exactly one hit wins
-    // the claim (CAS to the 0 sentinel) and owes a background refresh.
-    Tick soft = it->second.soft_expiry.load(std::memory_order_relaxed);
-    if (soft != Tick{0} && now >= soft &&
-        it->second.soft_expiry.compare_exchange_strong(
-            soft, Tick{0}, std::memory_order_relaxed))
-      out.refresh_ahead = true;
-  } else {
-    out.staleness = util::Duration(now - expiry);
-  }
-  return out;
-}
-
-ResponseCache::StaleLookup ResponseCache::lookup_for_revalidation(
-    const CacheKey& key) {
-  return lookup_for_revalidation_impl(key);
-}
-
-ResponseCache::StaleLookup ResponseCache::lookup_for_revalidation(
-    const CacheKeyRef& key) {
-  return lookup_for_revalidation_impl(key);
-}
-
-ResponseCache::StaleLookup ResponseCache::lookup_allow_stale(
-    const CacheKey& key) const {
-  const Shard& shard = shard_for_hash(key.hash());
-  std::shared_lock lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return {};
-  StaleLookup out;
-  out.value = it->second.value;
-  out.last_modified = it->second.last_modified;
-  const Tick now = tick(clock_->now());
-  const Tick expiry = it->second.expiry.load(std::memory_order_acquire);
-  out.fresh = now < expiry;
-  if (!out.fresh) out.staleness = util::Duration(now - expiry);
-  return out;
-}
-
-bool ResponseCache::refresh(const CacheKey& key, std::chrono::milliseconds ttl,
-                            std::chrono::milliseconds soft_ttl) {
+std::shared_ptr<const CachedValue> ResponseCache::refresh(
+    const CacheKey& key, std::chrono::milliseconds ttl,
+    std::chrono::milliseconds soft_ttl) {
   Shard& shard = shard_for_hash(key.hash());
   // Renewing a lease mutates only the atomic expiry tick and the CLOCK
   // mark, so a shared lock suffices — revalidation storms do not serialize
   // against the hit path.
   std::shared_lock lock(shard.mu);
   auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
+  if (it == shard.map.end()) return nullptr;
   const util::TimePoint now = clock_->now();
   it->second.expiry.store(tick(now + ttl), std::memory_order_release);
   it->second.soft_expiry.store(
@@ -274,7 +231,7 @@ bool ResponseCache::refresh(const CacheKey& key, std::chrono::milliseconds ttl,
       std::memory_order_relaxed);
   it->second.mark.store(true, std::memory_order_relaxed);
   stats_.add(&StatsSnapshot::revalidations);
-  return true;
+  return it->second.value;
 }
 
 ResponseCache::FlightHandle ResponseCache::join_flight(const CacheKeyRef& key) {

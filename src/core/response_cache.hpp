@@ -27,6 +27,11 @@
 //
 // The table can additionally be split into independently-locked shards
 // (Config::shards); entry/byte budgets are split evenly across shards.
+//
+// Every probe of the table goes through ONE entry point,
+// lookup(key, mode): the Fresh, Stale and Peek modes differ only in their
+// side effects (counters, CLOCK mark, lazy expiry, refresh-ahead claim,
+// hot-key offer), tabulated at the Lookup enum.
 #pragma once
 
 #include <atomic>
@@ -76,14 +81,43 @@ class ResponseCache {
   /// Wakes every parked single-flight waiter (shutdown_flights()).
   ~ResponseCache();
 
-  /// Fresh-entry lookup.  Returns the stored value (shared; retrieve() is
-  /// const and thread-safe) or nullptr on miss/expired.  Counts
-  /// hits/misses/expirations and sets the entry's CLOCK reference mark.
-  /// Hits take only a shared lock: concurrent hits never serialize.
-  std::shared_ptr<const CachedValue> lookup(const CacheKey& key);
-  /// Zero-allocation variant: looks up borrowed key material (a
-  /// KeyScratch's ref()) without constructing an owned CacheKey.
-  std::shared_ptr<const CachedValue> lookup(const CacheKeyRef& key);
+  /// How a lookup() treats the entry it finds (DESIGN.md §6):
+  ///
+  ///          counts     mark    expired entry       soft claim  hot key
+  ///   Fresh  hit, miss  on hit  erased, counted     never       offered
+  ///   Stale  hit, miss* on hit  exposed, uncounted  can win     offered
+  ///   Peek   nothing    never   exposed, kept       never       never
+  ///   (* a Stale miss is counted only when the key is absent)
+  ///
+  /// Fresh is the plain TTL cache.  Stale lets the caller decide what an
+  /// expired entry is worth (revalidate it with §3.2's If-Modified-Since,
+  /// serve it under a stale-while-revalidate grace, keep it as the
+  /// stale-if-error fallback), and a fresh Stale hit past the soft TTL can
+  /// win the refresh-ahead claim.  Peek has no side effect at all, so race
+  /// checks and degraded-mode reads never pollute the counters or destroy
+  /// the fallback entry they look for.
+  enum class Lookup : std::uint8_t { Fresh, Stale, Peek };
+
+  struct LookupResult {
+    /// Shared; retrieve() is const and thread-safe.  Null on a miss, and
+    /// on an expired entry under Fresh.
+    std::shared_ptr<const CachedValue> value;
+    bool fresh = false;
+    std::optional<std::chrono::seconds> last_modified;
+    /// How far past expiry the entry is (zero when fresh or missing), so
+    /// stale-if-error graces compare against real staleness, not guesses.
+    util::Duration staleness{0};
+    /// True when THIS lookup won the entry's one-shot refresh-ahead claim
+    /// (Stale only: a fresh hit past the soft TTL): the caller owns kicking
+    /// off exactly one background refresh.  Re-armed by store()/refresh().
+    bool refresh_ahead = false;
+  };
+
+  /// The one probe of the table.  Takes borrowed key material (a
+  /// KeyScratch's ref(), or an owned CacheKey's ref()), so the hit path
+  /// constructs no owned key.  Hits take only a shared lock: concurrent
+  /// hits never serialize.
+  LookupResult lookup(const CacheKeyRef& key, Lookup mode = Lookup::Fresh);
 
   /// Insert or replace.  `ttl` bounds the entry's life from now;
   /// `last_modified` (server-supplied) enables later revalidation.
@@ -91,49 +125,22 @@ class ResponseCache {
   /// already-expired entry must never charge the byte budget (where it
   /// could evict live entries before lazy expiry noticed it).
   /// A positive `soft_ttl` (< ttl) arms the refresh-ahead claim: the first
-  /// lookup_for_revalidation() hit after `soft_ttl` elapses wins a
-  /// one-shot claim (StaleLookup::refresh_ahead) to refresh the entry in
-  /// the background before it expires.
+  /// Stale lookup hit after `soft_ttl` elapses wins a one-shot claim
+  /// (LookupResult::refresh_ahead) to refresh the entry in the background
+  /// before it expires.
   void store(const CacheKey& key, std::shared_ptr<const CachedValue> value,
              std::chrono::milliseconds ttl,
              std::optional<std::chrono::seconds> last_modified = std::nullopt,
              std::chrono::milliseconds soft_ttl = std::chrono::milliseconds(0));
 
-  /// Lookup that also exposes an expired ("stale") entry so the caller can
-  /// revalidate it with a conditional request instead of refetching
-  /// (§3.2's If-Modified-Since hook).  Stale entries are NOT removed and
-  /// no hit/miss is counted for them — the caller reports the outcome via
-  /// refresh() (304) or store() (full response).
-  struct StaleLookup {
-    std::shared_ptr<const CachedValue> value;  // null on true miss
-    bool fresh = false;
-    std::optional<std::chrono::seconds> last_modified;
-    /// How far past expiry the entry is (zero when fresh or missing), so
-    /// stale-if-error graces compare against real staleness, not guesses.
-    util::Duration staleness{0};
-    /// True when THIS lookup won the entry's one-shot refresh-ahead claim
-    /// (fresh hit past the soft TTL): the caller owns kicking off exactly
-    /// one background refresh.  Re-armed by store()/refresh().
-    bool refresh_ahead = false;
-  };
-  StaleLookup lookup_for_revalidation(const CacheKey& key);
-  StaleLookup lookup_for_revalidation(const CacheKeyRef& key);
-
-  /// Degraded-mode lookup (stale-if-error): same exposure of expired
-  /// entries as lookup_for_revalidation but with NO side effects — no
-  /// hit/miss accounting, no recency mark, and crucially no expiry
-  /// eviction, so the fallback entry a failing wire call needs cannot be
-  /// destroyed by the lookup that finds it.  The fresh-only lookup()
-  /// semantics are unchanged.  Callers report the outcome themselves
-  /// (StatsSnapshot::stale_serves for a degraded read).
-  StaleLookup lookup_allow_stale(const CacheKey& key) const;
-
-  /// Give an existing (possibly expired) entry a new lease after a 304.
-  /// Returns false if the entry vanished meanwhile.  Shared-lock only:
-  /// the new expiry is an atomic store on the entry's expiry tick.
-  /// `soft_ttl` re-arms the refresh-ahead claim exactly as store() does.
-  bool refresh(const CacheKey& key, std::chrono::milliseconds ttl,
-               std::chrono::milliseconds soft_ttl = std::chrono::milliseconds(0));
+  /// Give an existing (possibly expired) entry a new lease after a 304 and
+  /// return its value, or null if the entry vanished meanwhile.
+  /// Shared-lock only: the new expiry is an atomic store on the entry's
+  /// expiry tick.  `soft_ttl` re-arms the refresh-ahead claim exactly as
+  /// store() does.
+  std::shared_ptr<const CachedValue> refresh(
+      const CacheKey& key, std::chrono::milliseconds ttl,
+      std::chrono::milliseconds soft_ttl = std::chrono::milliseconds(0));
 
   // --- Single-flight miss coalescing (DESIGN.md §11) ----------------------
   //
@@ -193,8 +200,8 @@ class ResponseCache {
   /// Drop everything (administrative flush).
   void clear();
 
-  /// Drop expired entries eagerly (periodic maintenance; lookup() already
-  /// lazily expires).  Returns the number removed.
+  /// Drop expired entries eagerly (periodic maintenance; a Fresh lookup()
+  /// already lazily expires).  Returns the number removed.
   std::size_t purge_expired();
 
   /// Entry count and byte footprint, read together: each shard's pair is
@@ -217,8 +224,9 @@ class ResponseCache {
   StatsSnapshot stats() const;
   CacheStats& counters() noexcept { return stats_; }
 
-  /// Hot-key tracking: a per-shard space-saving top-K sketch fed from the
-  /// lookup path (hits AND misses — "hot" means most-requested).  Off by
+  /// Hot-key tracking: a per-shard space-saving top-K sketch fed from
+  /// Fresh and Stale lookups (hits AND misses — "hot" means
+  /// most-requested; Peek never offers).  Off by
   /// default; when off the only lookup-path cost is one relaxed load.
   /// When on, every `sample_every`-th lookup per thread offers its key
   /// material to the owning shard's sketch with the sampling period as
@@ -251,7 +259,7 @@ class ResponseCache {
   struct Entry {
     std::shared_ptr<const CachedValue> value;  // replaced under unique_lock
     std::atomic<Tick> expiry{0};
-    /// Refresh-ahead claim: the tick after which the FIRST revalidation
+    /// Refresh-ahead claim: the tick after which the FIRST fresh Stale
     /// lookup wins a one-shot background-refresh claim (CAS to 0, the
     /// "disabled/claimed" sentinel).  Re-armed by store()/refresh().
     std::atomic<Tick> soft_expiry{0};
@@ -309,26 +317,8 @@ class ResponseCache {
     return *shards_[(hash >> 48) & shard_mask_];
   }
 
-  template <typename KeyLike>
-  std::shared_ptr<const CachedValue> lookup_impl(const KeyLike& key);
-  template <typename KeyLike>
-  StaleLookup lookup_for_revalidation_impl(const KeyLike& key);
-
   /// Sampled hot-key offer; the caller has already checked hot_enabled_.
   void offer_hot_key(Shard& shard, std::string_view material);
-  /// One relaxed flag load when tracking is off — the entire disabled
-  /// cost added to the PR 5 hit path.
-  template <typename KeyLike>
-  void maybe_track_hot_key(Shard& shard, const KeyLike& key) {
-    if (hot_enabled_.load(std::memory_order_acquire)) [[unlikely]]
-      offer_hot_key(shard, key_material(key));
-  }
-  static std::string_view key_material(const CacheKey& key) noexcept {
-    return key.material();
-  }
-  static std::string_view key_material(const CacheKeyRef& key) noexcept {
-    return key.material;
-  }
 
   /// Common tail of complete_flight/fail_flight: erase the table entry (if
   /// it is still this flight), publish the outcome once, wake everyone.

@@ -95,6 +95,21 @@ void CostProfiles::record_miss(std::string_view service,
   std::lock_guard lock(mu_);
   Cell& cell = cell_locked(service, operation, representation);
   cell.misses.inc();
+  fetch_locked(cell, deserialize_ns, store_ns, bytes);
+}
+
+void CostProfiles::record_fetch(std::string_view service,
+                                std::string_view operation,
+                                std::string_view representation,
+                                std::uint64_t deserialize_ns,
+                                std::uint64_t store_ns, std::uint64_t bytes) {
+  std::lock_guard lock(mu_);
+  fetch_locked(cell_locked(service, operation, representation),
+               deserialize_ns, store_ns, bytes);
+}
+
+void CostProfiles::fetch_locked(Cell& cell, std::uint64_t deserialize_ns,
+                                std::uint64_t store_ns, std::uint64_t bytes) {
   cell.deserialize_ns.record(deserialize_ns);
   if (bytes > 0) {
     cell.store_ns.record(store_ns);

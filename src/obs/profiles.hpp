@@ -37,13 +37,22 @@ class CostProfiles {
                   std::string_view representation, std::uint64_t hit_ns,
                   std::uint64_t weight = 1);
 
-  /// One miss: always counted.  `store_ns`/`bytes` are zero when the
-  /// response was not stored (policy/directive suppression) — the miss
-  /// still counts, but no store sample or bytes-per-entry row is added.
+  /// One miss: always counted, plus the samples of its fetch
+  /// (record_fetch).
   void record_miss(std::string_view service, std::string_view operation,
                    std::string_view representation,
                    std::uint64_t deserialize_ns, std::uint64_t store_ns,
                    std::uint64_t bytes);
+
+  /// The samples of one fetch WITHOUT counting a miss — a background
+  /// refresh, whose request the foreground caller already counted as a
+  /// hit.  `store_ns`/`bytes` are zero when the response was not stored
+  /// (policy/directive suppression): then only the deserialize sample is
+  /// added, no store sample or bytes-per-entry row.
+  void record_fetch(std::string_view service, std::string_view operation,
+                    std::string_view representation,
+                    std::uint64_t deserialize_ns, std::uint64_t store_ns,
+                    std::uint64_t bytes);
 
   /// Degraded-mode stale serve (availability, not a hit or a miss).
   void record_stale(std::string_view service, std::string_view operation,
@@ -120,6 +129,8 @@ class CostProfiles {
 
   Cell& cell_locked(std::string_view service, std::string_view operation,
                     std::string_view representation);
+  static void fetch_locked(Cell& cell, std::uint64_t deserialize_ns,
+                           std::uint64_t store_ns, std::uint64_t bytes);
 
   WindowOptions window_;
   std::string window_label_;

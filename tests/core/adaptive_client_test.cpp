@@ -146,7 +146,8 @@ TEST_F(AdaptiveClientFixture, SwitchChangesWhatNewStoresUse) {
   // A NEW key now stores in the switched representation...
   client.invoke("echoPolygon", poly_params(1));
   const CacheKey key = client.key_for("echoPolygon", poly_params(1));
-  std::shared_ptr<const CachedValue> entry = client.cache().lookup(key);
+  std::shared_ptr<const CachedValue> entry =
+      client.cache().lookup(key.ref()).value;
   ASSERT_TRUE(entry);
   EXPECT_EQ(entry->representation(), Representation::Serialized);
   // ...and still round-trips the object.
@@ -155,7 +156,8 @@ TEST_F(AdaptiveClientFixture, SwitchChangesWhatNewStoresUse) {
 
   // The pre-switch entry is untouched (representation is per-store).
   const CacheKey old_key = client.key_for("echoPolygon", poly_params(0));
-  std::shared_ptr<const CachedValue> old_entry = client.cache().lookup(old_key);
+  std::shared_ptr<const CachedValue> old_entry =
+      client.cache().lookup(old_key.ref()).value;
   ASSERT_TRUE(old_entry);
   EXPECT_EQ(old_entry->representation(), Representation::ReflectionCopy);
 }
@@ -199,8 +201,8 @@ TEST_F(AdaptiveClientFixture, ExplicitRepresentationBypassesThePolicy) {
   EXPECT_EQ(policy->operation_count(), 0u);  // never consulted
   EXPECT_EQ(policy->explore_stores(), 0u);   // never probed
   const CacheKey key = client.key_for("echoPolygon", poly_params(0));
-  ASSERT_TRUE(client.cache().lookup(key));
-  EXPECT_EQ(client.cache().lookup(key)->representation(),
+  ASSERT_TRUE(client.cache().lookup(key.ref()).value);
+  EXPECT_EQ(client.cache().lookup(key.ref()).value->representation(),
             Representation::Serialized);
 }
 

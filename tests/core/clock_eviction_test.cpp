@@ -44,9 +44,10 @@ ResponseCache::Config one_shard(std::size_t max_entries) {
 }
 
 bool present(ResponseCache& cache, const std::string& k) {
-  // lookup_allow_stale: side-effect-free presence probe (no mark, no
+  // A Peek lookup is a side-effect-free presence probe (no mark, no
   // hit/miss accounting), so the probe cannot perturb the clock state.
-  return cache.lookup_allow_stale(key(k)).value != nullptr;
+  return cache.lookup(key(k).ref(), ResponseCache::Lookup::Peek).value !=
+         nullptr;
 }
 
 TEST(ClockEvictionTest, UnmarkedEntriesEvictInInsertionOrder) {
@@ -70,7 +71,7 @@ TEST(ClockEvictionTest, HitBuysExactlyOneSecondChance) {
   cache.store(key("a"), value(1), minutes(1));
   cache.store(key("b"), value(2), minutes(1));
   cache.store(key("c"), value(3), minutes(1));
-  cache.lookup(key("a"));  // mark a
+  cache.lookup(key("a").ref());  // mark a
   // Sweep 1: a is marked -> spared (mark cleared, hand moves on), b is
   // the first unmarked entry after it -> evicted.
   cache.store(key("d"), value(4), minutes(1));
@@ -100,9 +101,9 @@ TEST(ClockEvictionTest, AllMarkedMeansNewcomerLosesFirstRound) {
   cache.store(key("a"), value(1), minutes(1));
   cache.store(key("b"), value(2), minutes(1));
   cache.store(key("c"), value(3), minutes(1));
-  cache.lookup(key("a"));
-  cache.lookup(key("b"));
-  cache.lookup(key("c"));
+  cache.lookup(key("a").ref());
+  cache.lookup(key("b").ref());
+  cache.lookup(key("c").ref());
   cache.store(key("d"), value(4), minutes(1));
   EXPECT_TRUE(present(cache, "a"));
   EXPECT_TRUE(present(cache, "b"));
@@ -123,7 +124,8 @@ TEST(ClockEvictionTest, ReplaceCountsAsUse) {
   cache.store(key("d"), value(4), minutes(1));
   EXPECT_TRUE(present(cache, "a"));
   EXPECT_FALSE(present(cache, "b"));
-  EXPECT_EQ(cache.lookup(key("a"))->retrieve().as<std::int32_t>(), 10);
+  EXPECT_EQ(cache.lookup(key("a").ref()).value->retrieve().as<std::int32_t>(),
+            10);
 }
 
 TEST(ClockEvictionTest, ExpiredEntriesReclaimedAsExpirationsNotEvictions) {
@@ -132,7 +134,8 @@ TEST(ClockEvictionTest, ExpiredEntriesReclaimedAsExpirationsNotEvictions) {
   cache.store(key("a"), value(1), milliseconds(10));
   cache.store(key("b"), value(2), minutes(1));
   cache.store(key("c"), value(3), minutes(1));
-  cache.lookup(key("b"));  // mark b: without the dead 'a' b would be spared
+  // mark b: without the dead 'a' b would be spared
+  cache.lookup(key("b").ref());
   clock.advance(milliseconds(20));  // a is now dead in place
   cache.store(key("d"), value(4), minutes(1));
   // The hand found 'a' expired and reclaimed it — no live entry paid.

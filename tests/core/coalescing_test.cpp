@@ -489,6 +489,38 @@ TEST(CoalescingTest, SoftTtlHitTriggersExactlyOneBackgroundRefresh) {
   EXPECT_EQ(rig.cache->stats().refresh_ahead_triggered, 2u);
 }
 
+TEST(CoalescingTest, BackgroundRefreshesCountNoProfileMiss) {
+  // A refresh renews an entry whose request the foreground already counted
+  // as a hit: the profile row (the adaptive policy's miss-ratio input) must
+  // agree with /stats, not count each refresh as one more miss.
+  CachePolicy policy = plain_policy(milliseconds(100));
+  policy.refresh_ahead("echoString", 0.5);
+  CachingServiceClient::Options options;
+  options.profiles = std::make_shared<obs::CostProfiles>();
+  options.profile_sample_every = 1;
+  std::shared_ptr<obs::CostProfiles> profiles = options.profiles;
+  Rig rig(std::move(policy), std::move(options));
+  rig.gate->open();
+  EXPECT_EQ(rig.echo("same"), "echo:same");  // the one cold miss
+  const auto row = [&] { return profiles->snapshot().at(0); };
+  for (std::uint64_t cycle = 1; cycle <= 5; ++cycle) {
+    rig.clock.advance(milliseconds(60));  // fresh, past the soft TTL
+    EXPECT_EQ(rig.echo("same"), "echo:same");
+    // Wait for this cycle's refresh to finish before the next one: its
+    // profile sample lands after the store AND after its flight closed,
+    // so the next hit's refresh cannot board the finishing flight.
+    ASSERT_TRUE(Rig::eventually(
+        [&] { return row().stored_entries >= cycle + 1; }));
+  }
+  ASSERT_EQ(profiles->snapshot().size(), 1u);
+  const StatsSnapshot stats = rig.cache->stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 5u);
+  EXPECT_EQ(row().misses, stats.misses);
+  EXPECT_EQ(row().hits, stats.hits);
+  EXPECT_EQ(row().stored_entries, 6u);
+}
+
 TEST(CoalescingTest, HitsBeforeSoftTtlNeverTrigger) {
   CachePolicy policy = plain_policy(milliseconds(100));
   policy.refresh_ahead("echoString", 0.8);

@@ -63,7 +63,7 @@ TEST(HitpathHammerTest, AllOperationsRaceCleanlyOnOneShard) {
           case 0:
           case 1:
           case 2:  // hit path dominates, as in production
-            if (auto v = cache.lookup(k)) {
+            if (auto v = cache.lookup(k.ref()).value) {
               v->retrieve();
               observed_hits.fetch_add(1, std::memory_order_relaxed);
             } else {
@@ -72,13 +72,13 @@ TEST(HitpathHammerTest, AllOperationsRaceCleanlyOnOneShard) {
             }
             break;
           case 3: {
-            auto stale = cache.lookup_for_revalidation(k);
+            auto stale = cache.lookup(k.ref(), ResponseCache::Lookup::Stale);
             if (stale.value && !stale.fresh)
               cache.refresh(k, milliseconds(50));
             break;
           }
           case 4:
-            (void)cache.lookup_allow_stale(k);
+            (void)cache.lookup(k.ref(), ResponseCache::Lookup::Peek);
             break;
           case 5:
             cache.store(k, std::make_shared<IdValue>(i), milliseconds(80));
@@ -143,7 +143,7 @@ TEST(HitpathHammerTest, ReadersScaleWhileOneWriterChurns) {
     readers.emplace_back([&, t] {
       for (int i = 0; i < 2000; ++i) {
         const CacheKey& k = hot[(t + i) % kHot];
-        if (cache.lookup(k) != nullptr) {
+        if (cache.lookup(k.ref()).value != nullptr) {
           hits.fetch_add(1, std::memory_order_relaxed);
         } else {
           // Read-through on the (rare) unlucky eviction: CLOCK is

@@ -71,11 +71,11 @@ TEST(KeygenScratchTest, RefLookupFindsEntryStoredUnderOwnedKey) {
   cache.store(gen.generate(req), std::make_shared<IdValue>(7), minutes(1));
   KeyScratch scratch;
   gen.generate_into(req, scratch);
-  auto hit = cache.lookup(scratch.ref());
+  auto hit = cache.lookup(scratch.ref()).value;
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->retrieve().as<std::int32_t>(), 7);
   // And through the revalidation probe as well.
-  EXPECT_TRUE(cache.lookup_for_revalidation(scratch.ref()).fresh);
+  EXPECT_TRUE(cache.lookup(scratch.ref(), ResponseCache::Lookup::Stale).fresh);
 }
 
 TEST(KeygenScratchTest, SteadyStateHitPathDoesNotAllocate) {
@@ -88,13 +88,13 @@ TEST(KeygenScratchTest, SteadyStateHitPathDoesNotAllocate) {
   // Warm-up: first calls may grow the scratch buffer to the material size.
   for (int i = 0; i < 4; ++i) {
     gen.generate_into(req, scratch);
-    ASSERT_NE(cache.lookup(scratch.ref()), nullptr);
+    ASSERT_NE(cache.lookup(scratch.ref()).value, nullptr);
   }
 
   testing::arm_alloc_counter();
   for (int i = 0; i < 64; ++i) {
     gen.generate_into(req, scratch);
-    auto hit = cache.lookup(scratch.ref());
+    auto hit = cache.lookup(scratch.ref()).value;
     if (hit == nullptr) break;  // would allocate in the assert below anyway
   }
   EXPECT_EQ(testing::disarm_alloc_counter(), 0u)

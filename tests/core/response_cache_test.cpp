@@ -45,9 +45,9 @@ std::shared_ptr<const CachedValue> value(int id, std::size_t bytes = 64) {
 
 TEST(ResponseCacheTest, MissThenHit) {
   ResponseCache cache;
-  EXPECT_EQ(cache.lookup(key("a")), nullptr);
+  EXPECT_EQ(cache.lookup(key("a").ref()).value, nullptr);
   cache.store(key("a"), value(1), minutes(1));
-  auto hit = cache.lookup(key("a"));
+  auto hit = cache.lookup(key("a").ref()).value;
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->retrieve().as<std::int32_t>(), 1);
   StatsSnapshot s = cache.stats();
@@ -62,7 +62,8 @@ TEST(ResponseCacheTest, StoreReplacesExisting) {
   cache.store(key("a"), value(1), minutes(1));
   cache.store(key("a"), value(2), minutes(1));
   EXPECT_EQ(cache.entry_count(), 1u);
-  EXPECT_EQ(cache.lookup(key("a"))->retrieve().as<std::int32_t>(), 2);
+  EXPECT_EQ(cache.lookup(key("a").ref()).value->retrieve().as<std::int32_t>(),
+            2);
 }
 
 TEST(ResponseCacheTest, TtlExpiryWithManualClock) {
@@ -70,9 +71,11 @@ TEST(ResponseCacheTest, TtlExpiryWithManualClock) {
   ResponseCache cache(ResponseCache::Config{}, clock);
   cache.store(key("a"), value(1), milliseconds(1000));
   clock.advance(milliseconds(999));
-  EXPECT_NE(cache.lookup(key("a")), nullptr);
+  EXPECT_NE(cache.lookup(key("a").ref()).value, nullptr);
   clock.advance(milliseconds(1));
-  EXPECT_EQ(cache.lookup(key("a")), nullptr);  // expires exactly at TTL
+  // expires exactly at TTL
+  EXPECT_EQ(cache.lookup(key("a").ref()).value,
+            nullptr);
   StatsSnapshot s = cache.stats();
   EXPECT_EQ(s.expirations, 1u);
   EXPECT_EQ(s.entries, 0u);  // lazily removed on lookup
@@ -82,7 +85,7 @@ TEST(ResponseCacheTest, ZeroTtlNeverHits) {
   util::ManualClock clock;
   ResponseCache cache(ResponseCache::Config{}, clock);
   cache.store(key("a"), value(1), milliseconds(0));
-  EXPECT_EQ(cache.lookup(key("a")), nullptr);
+  EXPECT_EQ(cache.lookup(key("a").ref()).value, nullptr);
 }
 
 TEST(ResponseCacheTest, NonPositiveTtlStoreIsRejectedNoOp) {
@@ -102,7 +105,7 @@ TEST(ResponseCacheTest, RejectedStoreLeavesExistingEntryUntouched) {
   ResponseCache cache;
   cache.store(key("a"), value(1), minutes(1));
   cache.store(key("a"), value(2), milliseconds(0));  // rejected, not a replace
-  auto hit = cache.lookup(key("a"));
+  auto hit = cache.lookup(key("a").ref()).value;
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->retrieve().as<std::int32_t>(), 1);
   StatsSnapshot s = cache.stats();
@@ -117,8 +120,8 @@ TEST(ResponseCacheTest, RejectedStoreCannotEvictLiveEntries) {
   cache.store(key("a"), value(1), minutes(1));
   cache.store(key("b"), value(2), minutes(1));
   cache.store(key("dead"), value(3), milliseconds(0));
-  EXPECT_NE(cache.lookup(key("a")), nullptr);
-  EXPECT_NE(cache.lookup(key("b")), nullptr);
+  EXPECT_NE(cache.lookup(key("a").ref()).value, nullptr);
+  EXPECT_NE(cache.lookup(key("b").ref()).value, nullptr);
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
@@ -128,8 +131,8 @@ TEST(ResponseCacheTest, PerEntryTtls) {
   cache.store(key("short"), value(1), milliseconds(10));
   cache.store(key("long"), value(2), minutes(10));
   clock.advance(milliseconds(20));
-  EXPECT_EQ(cache.lookup(key("short")), nullptr);
-  EXPECT_NE(cache.lookup(key("long")), nullptr);
+  EXPECT_EQ(cache.lookup(key("short").ref()).value, nullptr);
+  EXPECT_NE(cache.lookup(key("long").ref()).value, nullptr);
 }
 
 TEST(ResponseCacheTest, PurgeExpiredSweepsEagerly) {
@@ -151,13 +154,13 @@ TEST(ResponseCacheTest, ClockEvictionAtEntryCap) {
   cache.store(key("a"), value(1), minutes(1));
   cache.store(key("b"), value(2), minutes(1));
   cache.store(key("c"), value(3), minutes(1));
-  cache.lookup(key("a"));  // marks a: the hand will spare it
+  cache.lookup(key("a").ref());  // marks a: the hand will spare it
   cache.store(key("d"), value(4), minutes(1));
   EXPECT_EQ(cache.entry_count(), 3u);
-  EXPECT_EQ(cache.lookup(key("b")), nullptr);  // b evicted
-  EXPECT_NE(cache.lookup(key("a")), nullptr);
-  EXPECT_NE(cache.lookup(key("c")), nullptr);
-  EXPECT_NE(cache.lookup(key("d")), nullptr);
+  EXPECT_EQ(cache.lookup(key("b").ref()).value, nullptr);  // b evicted
+  EXPECT_NE(cache.lookup(key("a").ref()).value, nullptr);
+  EXPECT_NE(cache.lookup(key("c").ref()).value, nullptr);
+  EXPECT_NE(cache.lookup(key("d").ref()).value, nullptr);
   StatsSnapshot s = cache.stats();
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.second_chances, 1u);  // a was spared once
@@ -192,7 +195,7 @@ TEST(ResponseCacheTest, InvalidateRemovesEntry) {
   cache.store(key("a"), value(1), minutes(1));
   EXPECT_TRUE(cache.invalidate(key("a")));
   EXPECT_FALSE(cache.invalidate(key("a")));
-  EXPECT_EQ(cache.lookup(key("a")), nullptr);
+  EXPECT_EQ(cache.lookup(key("a").ref()).value, nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
@@ -208,10 +211,10 @@ TEST(ResponseCacheTest, ClearEmptiesEverything) {
 TEST(ResponseCacheTest, HitRatioComputed) {
   ResponseCache cache;
   cache.store(key("a"), value(1), minutes(1));
-  cache.lookup(key("a"));
-  cache.lookup(key("a"));
-  cache.lookup(key("miss1"));
-  cache.lookup(key("miss2"));
+  cache.lookup(key("a").ref());
+  cache.lookup(key("a").ref());
+  cache.lookup(key("miss1").ref());
+  cache.lookup(key("miss2").ref());
   EXPECT_DOUBLE_EQ(cache.stats().hit_ratio(), 0.5);
 }
 
@@ -238,7 +241,7 @@ TEST(ResponseCacheTest, ConcurrentMixedWorkload) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 500; ++i) {
         CacheKey k("key" + std::to_string((t * 31 + i) % 40));
-        if (auto v = cache.lookup(k)) {
+        if (auto v = cache.lookup(k.ref()).value) {
           v->retrieve();
           retrieved.fetch_add(1);
         } else {
@@ -253,6 +256,113 @@ TEST(ResponseCacheTest, ConcurrentMixedWorkload) {
   EXPECT_EQ(s.hits + s.misses, 8u * 500u);
   EXPECT_GT(retrieved.load(), 0);
   EXPECT_LE(cache.entry_count(), 64u);
+}
+
+
+// --- lookup(key, mode): every mode against every entry state -------------
+
+enum class EntryState { Absent, Fresh, Expired, PastSoftTtl };
+
+struct ModeCell {
+  ResponseCache::Lookup mode;
+  EntryState state;
+  // Returned fields.
+  bool value;
+  bool fresh;
+  bool last_modified;
+  milliseconds staleness;
+  bool refresh_ahead;
+  // Counter deltas.
+  std::uint64_t hits, misses, expirations;
+  // Side effects.
+  bool survives;     // a Peek afterwards still finds the entry
+  bool claim_left;   // a Stale lookup afterwards still wins the soft claim
+  bool hot_offered;  // the key's hot-key count grew by one
+};
+
+const char* state_name(EntryState state) {
+  switch (state) {
+    case EntryState::Absent: return "absent";
+    case EntryState::Fresh: return "fresh";
+    case EntryState::Expired: return "expired";
+    case EntryState::PastSoftTtl: return "fresh past the soft TTL";
+  }
+  return "?";
+}
+
+const char* mode_name(ResponseCache::Lookup mode) {
+  switch (mode) {
+    case ResponseCache::Lookup::Fresh: return "Fresh";
+    case ResponseCache::Lookup::Stale: return "Stale";
+    case ResponseCache::Lookup::Peek: return "Peek";
+  }
+  return "?";
+}
+
+std::uint64_t hot_count(const ResponseCache& cache, const std::string& k) {
+  for (const auto& hot : cache.hot_keys())
+    if (hot.key == k) return hot.count;
+  return 0;
+}
+
+TEST(LookupModeMatrixTest, EachModeHasExactlyItsSideEffects) {
+  using L = ResponseCache::Lookup;
+  using E = EntryState;
+  const milliseconds none(0);
+  const milliseconds stale_by(50);  // expired cells sit 50ms past expiry
+  // clang-format off
+  const ModeCell cells[] = {
+    // mode      state          value  fresh  lm     staleness ra     h  m  x  survives claim  hot
+    {L::Fresh, E::Absent,      false, false, false, none,     false, 0, 1, 0, false,   false, true},
+    {L::Fresh, E::Fresh,       true,  true,  true,  none,     false, 1, 0, 0, true,    false, true},
+    {L::Fresh, E::Expired,     false, false, false, none,     false, 0, 1, 1, false,   false, true},
+    {L::Fresh, E::PastSoftTtl, true,  true,  true,  none,     false, 1, 0, 0, true,    true,  true},
+    {L::Stale, E::Absent,      false, false, false, none,     false, 0, 1, 0, false,   false, true},
+    {L::Stale, E::Fresh,       true,  true,  true,  none,     false, 1, 0, 0, true,    false, true},
+    {L::Stale, E::Expired,     true,  false, true,  stale_by, false, 0, 0, 0, true,    false, true},
+    {L::Stale, E::PastSoftTtl, true,  true,  true,  none,     true,  1, 0, 0, true,    false, true},
+    {L::Peek,  E::Absent,      false, false, false, none,     false, 0, 0, 0, false,   false, false},
+    {L::Peek,  E::Fresh,       true,  true,  true,  none,     false, 0, 0, 0, true,    false, false},
+    {L::Peek,  E::Expired,     true,  false, true,  stale_by, false, 0, 0, 0, true,    false, false},
+    {L::Peek,  E::PastSoftTtl, true,  true,  true,  none,     false, 0, 0, 0, true,    true,  false},
+  };
+  // clang-format on
+  for (const ModeCell& cell : cells) {
+    SCOPED_TRACE(std::string(mode_name(cell.mode)) + " lookup of an entry " +
+                 state_name(cell.state));
+    util::ManualClock clock;
+    ResponseCache cache(ResponseCache::Config{.shards = 1}, clock);
+    cache.enable_hot_key_tracking({.capacity = 8, .sample_every = 1});
+    if (cell.state != E::Absent)
+      cache.store(key("k"), value(1), milliseconds(100),
+                  std::chrono::seconds(42), /*soft_ttl=*/milliseconds(50));
+    clock.advance(cell.state == E::Fresh         ? milliseconds(10)
+                  : cell.state == E::PastSoftTtl ? milliseconds(60)
+                                                 : milliseconds(150));
+    const StatsSnapshot before = cache.stats();
+    const std::uint64_t hot_before = hot_count(cache, "k");
+
+    const ResponseCache::LookupResult r =
+        cache.lookup(key("k").ref(), cell.mode);
+
+    EXPECT_EQ(r.value != nullptr, cell.value);
+    EXPECT_EQ(r.fresh, cell.fresh);
+    EXPECT_EQ(r.last_modified.has_value(), cell.last_modified);
+    if (cell.last_modified) {
+      EXPECT_EQ(*r.last_modified, std::chrono::seconds(42));
+    }
+    EXPECT_EQ(r.staleness, util::Duration(cell.staleness));
+    EXPECT_EQ(r.refresh_ahead, cell.refresh_ahead);
+    const StatsSnapshot after = cache.stats();
+    EXPECT_EQ(after.hits - before.hits, cell.hits);
+    EXPECT_EQ(after.misses - before.misses, cell.misses);
+    EXPECT_EQ(after.expirations - before.expirations, cell.expirations);
+    EXPECT_EQ(hot_count(cache, "k") - hot_before, cell.hot_offered ? 1u : 0u);
+    EXPECT_EQ(cache.lookup(key("k").ref(), L::Peek).value != nullptr,
+              cell.survives);
+    EXPECT_EQ(cache.lookup(key("k").ref(), L::Stale).refresh_ahead,
+              cell.claim_left);
+  }
 }
 
 }  // namespace

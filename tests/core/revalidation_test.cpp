@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "core/client.hpp"
 #include "soap/dispatcher.hpp"
@@ -41,7 +42,8 @@ TEST(StaleLookupTest, FreshEntryCountsHit) {
   ResponseCache cache(ResponseCache::Config{}, clock);
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(100),
               seconds(42));
-  ResponseCache::StaleLookup s = cache.lookup_for_revalidation(CacheKey("k"));
+  ResponseCache::LookupResult s =
+      cache.lookup(CacheKey("k").ref(), ResponseCache::Lookup::Stale);
   EXPECT_TRUE(s.fresh);
   ASSERT_NE(s.value, nullptr);
   EXPECT_EQ(s.last_modified, seconds(42));
@@ -54,7 +56,8 @@ TEST(StaleLookupTest, ExpiredEntryExposedWithoutCounting) {
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(100),
               seconds(42));
   clock.advance(milliseconds(200));
-  ResponseCache::StaleLookup s = cache.lookup_for_revalidation(CacheKey("k"));
+  ResponseCache::LookupResult s =
+      cache.lookup(CacheKey("k").ref(), ResponseCache::Lookup::Stale);
   EXPECT_FALSE(s.fresh);
   ASSERT_NE(s.value, nullptr);  // stale but present
   EXPECT_EQ(cache.stats().hits, 0u);
@@ -64,7 +67,8 @@ TEST(StaleLookupTest, ExpiredEntryExposedWithoutCounting) {
 
 TEST(StaleLookupTest, AbsentEntryCountsMiss) {
   ResponseCache cache;
-  ResponseCache::StaleLookup s = cache.lookup_for_revalidation(CacheKey("nope"));
+  ResponseCache::LookupResult s =
+      cache.lookup(CacheKey("nope").ref(), ResponseCache::Lookup::Stale);
   EXPECT_EQ(s.value, nullptr);
   EXPECT_FALSE(s.fresh);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -75,13 +79,15 @@ TEST(StaleLookupTest, RefreshRenewsLease) {
   ResponseCache cache(ResponseCache::Config{}, clock);
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(100));
   clock.advance(milliseconds(200));
-  EXPECT_EQ(cache.lookup(CacheKey("k")), nullptr);  // expired... and erased!
+  // expired... and erased!
+  EXPECT_EQ(cache.lookup(CacheKey("k").ref()).value,
+            nullptr);
   // Re-store and refresh before expiry this time.
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(100));
   clock.advance(milliseconds(90));
   EXPECT_TRUE(cache.refresh(CacheKey("k"), milliseconds(100)));
   clock.advance(milliseconds(90));
-  EXPECT_NE(cache.lookup(CacheKey("k")), nullptr);  // lease renewed
+  EXPECT_NE(cache.lookup(CacheKey("k").ref()).value, nullptr);  // lease renewed
   EXPECT_EQ(cache.stats().revalidations, 1u);
 }
 
@@ -91,6 +97,23 @@ TEST(StaleLookupTest, RefreshOnMissingEntryFails) {
 }
 
 // --- full middleware flow --------------------------------------------------------
+
+/// Counts every post() that reaches the wire, conditional requests included.
+class CountingTransport final : public transport::Transport {
+ public:
+  CountingTransport(std::shared_ptr<Transport> inner, std::atomic<int>& calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+  transport::WireResponse post(const util::Uri& endpoint,
+                               const transport::WireRequest& request) override {
+    ++calls_;
+    return inner_->post(endpoint, request);
+  }
+  using Transport::post;
+
+ private:
+  std::shared_ptr<Transport> inner_;
+  std::atomic<int>& calls_;
+};
 
 struct RevalFixture {
   RevalFixture() {
@@ -108,18 +131,24 @@ struct RevalFixture {
         });
   }
 
-  CachingServiceClient make_client(bool revalidate,
-                                   milliseconds ttl = milliseconds(1000)) {
+  CachingServiceClient make_client(
+      bool revalidate, milliseconds ttl = milliseconds(1000),
+      double refresh_ahead = 0.0,
+      std::shared_ptr<obs::CostProfiles> profiles = nullptr) {
     CachingServiceClient::Options options;
     OperationPolicy p;
     p.cacheable = true;
     p.ttl = ttl;
     p.revalidate = revalidate;
+    p.refresh_ahead = refresh_ahead;
     options.policy.set("echoString", p);
+    options.profiles = std::move(profiles);
+    options.profile_sample_every = 1;
     response_cache =
         std::make_shared<ResponseCache>(ResponseCache::Config{}, clock);
-    return CachingServiceClient(transport, test_description(), kEndpoint,
-                                response_cache, options);
+    return CachingServiceClient(
+        std::make_shared<CountingTransport>(transport, wire_calls),
+        test_description(), kEndpoint, response_cache, options);
   }
 
   Object call(CachingServiceClient& client) {
@@ -130,6 +159,7 @@ struct RevalFixture {
   std::shared_ptr<transport::InProcessTransport> transport;
   std::shared_ptr<ResponseCache> response_cache;
   std::atomic<int> service_calls{0};
+  std::atomic<int> wire_calls{0};
   std::atomic<int> resource_version{1};
   std::atomic<long> last_modified{1000};  // seconds
 };
@@ -141,13 +171,56 @@ TEST(RevalidationFlowTest, UnchangedResourceRenewsWithout304Refetch) {
   EXPECT_EQ(f.service_calls, 1);
 
   f.clock.advance(milliseconds(2000));  // entry expires; resource unchanged
+  const StatsSnapshot before = f.response_cache->stats();
+  const int wire_before = f.wire_calls;
   EXPECT_EQ(f.call(client).as<std::string>(), "v1:q");
   EXPECT_EQ(f.service_calls, 1);  // 304 answered before dispatch
   EXPECT_EQ(f.response_cache->stats().revalidations, 1u);
+  // The 304 call is one conditional request that answers as a hit.
+  const StatsSnapshot after = f.response_cache->stats();
+  EXPECT_EQ(f.wire_calls - wire_before, 1);
+  EXPECT_EQ(after.revalidations - before.revalidations, 1u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses - before.misses, 0u);
 
   // The renewed lease serves fresh hits again.
   EXPECT_EQ(f.call(client).as<std::string>(), "v1:q");
   EXPECT_EQ(f.service_calls, 1);
+}
+
+TEST(RevalidationFlowTest, BackgroundRevalidationCountsNoHitOrMiss) {
+  RevalFixture f;
+  auto profiles = std::make_shared<obs::CostProfiles>();
+  auto client = f.make_client(/*revalidate=*/true, milliseconds(1000),
+                              /*refresh_ahead=*/0.5, profiles);
+  f.call(client);                       // cold miss, stored with Last-Modified
+  f.clock.advance(milliseconds(600));   // fresh, past the 500ms soft TTL
+  EXPECT_EQ(f.call(client).as<std::string>(), "v1:q");  // hit wins the claim
+
+  // The background refresh asks conditionally and gets a 304.
+  for (int i = 0; i < 2000 && f.response_cache->stats().revalidations == 0;
+       ++i)
+    std::this_thread::sleep_for(milliseconds(1));
+  const StatsSnapshot stats = f.response_cache->stats();
+  ASSERT_EQ(stats.revalidations, 1u);
+  EXPECT_EQ(f.wire_calls, 2);
+  EXPECT_EQ(f.service_calls, 1);
+  // Only the two foreground calls are counted, in /stats and the profile.
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  std::uint64_t profile_hits = 0, profile_misses = 0;
+  for (const obs::CostProfiles::Row& row : profiles->snapshot()) {
+    profile_hits += row.hits;
+    profile_misses += row.misses;
+  }
+  EXPECT_EQ(profile_hits, 1u);
+  EXPECT_EQ(profile_misses, 1u);
+
+  // The renewed lease serves a fresh hit past the old expiry (and before
+  // the new soft TTL, so no second refresh starts).
+  f.clock.advance(milliseconds(450));
+  EXPECT_EQ(f.call(client).as<std::string>(), "v1:q");
+  EXPECT_EQ(f.wire_calls, 2);
 }
 
 TEST(RevalidationFlowTest, ChangedResourceRefetches) {
@@ -196,7 +269,8 @@ TEST(RevalidationFlowTest, StaleEntriesStayUsableWhileRevalidating) {
   ResponseCache cache(ResponseCache::Config{}, clock);
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(10));
   clock.advance(milliseconds(20));
-  ResponseCache::StaleLookup s = cache.lookup_for_revalidation(CacheKey("k"));
+  ResponseCache::LookupResult s =
+      cache.lookup(CacheKey("k").ref(), ResponseCache::Lookup::Stale);
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(10));
   EXPECT_EQ(s.value->retrieve().as<std::int32_t>(), 7);
 }

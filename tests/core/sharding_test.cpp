@@ -39,12 +39,12 @@ TEST_P(ShardCounts, BasicOperationsBehaveIdentically) {
   }
   EXPECT_EQ(cache.entry_count(), 200u);
   for (int i = 0; i < 200; ++i) {
-    auto v = cache.lookup(CacheKey("k" + std::to_string(i)));
+    auto v = cache.lookup(CacheKey("k" + std::to_string(i)).ref()).value;
     ASSERT_NE(v, nullptr) << i;
     EXPECT_EQ(v->retrieve().as<std::int32_t>(), i);
   }
   EXPECT_TRUE(cache.invalidate(CacheKey("k5")));
-  EXPECT_EQ(cache.lookup(CacheKey("k5")), nullptr);
+  EXPECT_EQ(cache.lookup(CacheKey("k5").ref()).value, nullptr);
   cache.clear();
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.bytes_used(), 0u);
@@ -86,7 +86,7 @@ TEST_P(ShardCounts, ConcurrentHammering) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 400; ++i) {
         CacheKey k("key" + std::to_string((t * 13 + i) % 64));
-        if (auto v = cache.lookup(k)) {
+        if (auto v = cache.lookup(k.ref()).value) {
           v->retrieve();
         } else {
           cache.store(k, std::make_shared<IdValue>(i), minutes(1));
@@ -118,7 +118,7 @@ TEST(ShardingTest, ZeroShardsClampedToOne) {
   config.shards = 0;
   ResponseCache cache(config);
   cache.store(CacheKey("k"), std::make_shared<IdValue>(1), minutes(1));
-  EXPECT_NE(cache.lookup(CacheKey("k")), nullptr);
+  EXPECT_NE(cache.lookup(CacheKey("k").ref()).value, nullptr);
 }
 
 TEST(ShardingTest, KeysSpreadAcrossShards) {

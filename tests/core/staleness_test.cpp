@@ -1,7 +1,7 @@
-// Stale-if-error degraded mode: lookup_allow_stale must expose expired
-// entries with zero side effects (the plain lookup() would evict them on
-// sight), and CachingServiceClient must serve an expired-but-in-grace
-// entry when the wire call fails for good — counting every such serve.
+// Stale-if-error degraded mode: a Peek lookup must expose expired entries
+// with zero side effects (a Fresh lookup would evict them on sight), and
+// CachingServiceClient must serve an expired-but-in-grace entry when the
+// wire call fails for good — counting every such serve.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -35,7 +35,7 @@ class DummyValue final : public CachedValue {
   std::size_t memory_size() const override { return 16; }
 };
 
-// --- ResponseCache::lookup_allow_stale ------------------------------------------
+// --- ResponseCache::lookup(key, Lookup::Peek) -----------------------------
 
 TEST(LookupAllowStaleTest, FreshEntryReportedWithZeroStaleness) {
   util::ManualClock clock;
@@ -43,7 +43,8 @@ TEST(LookupAllowStaleTest, FreshEntryReportedWithZeroStaleness) {
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(100),
               seconds(42));
   clock.advance(milliseconds(40));
-  ResponseCache::StaleLookup s = cache.lookup_allow_stale(CacheKey("k"));
+  ResponseCache::LookupResult s =
+      cache.lookup(CacheKey("k").ref(), ResponseCache::Lookup::Peek);
   ASSERT_NE(s.value, nullptr);
   EXPECT_TRUE(s.fresh);
   EXPECT_EQ(s.staleness, util::Duration(0));
@@ -56,7 +57,8 @@ TEST(LookupAllowStaleTest, ExpiredEntryReportsHowStaleItIs) {
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(100),
               seconds(42));
   clock.advance(milliseconds(250));
-  ResponseCache::StaleLookup s = cache.lookup_allow_stale(CacheKey("k"));
+  ResponseCache::LookupResult s =
+      cache.lookup(CacheKey("k").ref(), ResponseCache::Lookup::Peek);
   ASSERT_NE(s.value, nullptr);
   EXPECT_FALSE(s.fresh);
   EXPECT_EQ(s.staleness, util::Duration(milliseconds(150)));
@@ -72,7 +74,8 @@ TEST(LookupAllowStaleTest, HasNoSideEffectsAtAll) {
   // Repeated stale lookups: no hit/miss/expiration accounting, and — the
   // point of the method — no eviction of the expired entry.
   for (int i = 0; i < 3; ++i) {
-    ResponseCache::StaleLookup s = cache.lookup_allow_stale(CacheKey("k"));
+    ResponseCache::LookupResult s =
+        cache.lookup(CacheKey("k").ref(), ResponseCache::Lookup::Peek);
     ASSERT_NE(s.value, nullptr);
   }
   StatsSnapshot stats = cache.stats();
@@ -81,16 +84,19 @@ TEST(LookupAllowStaleTest, HasNoSideEffectsAtAll) {
   EXPECT_EQ(stats.expirations, 0u);
   EXPECT_EQ(stats.entries, 1u);
 
-  // The plain lookup() keeps its eager-eviction contract.
-  EXPECT_EQ(cache.lookup(CacheKey("k")), nullptr);
+  // A Fresh lookup keeps its eager-eviction contract.
+  EXPECT_EQ(cache.lookup(CacheKey("k").ref()).value, nullptr);
   EXPECT_EQ(cache.stats().expirations, 1u);
-  EXPECT_EQ(cache.lookup_allow_stale(CacheKey("k")).value, nullptr);
+  EXPECT_EQ(
+      cache.lookup(CacheKey("k").ref(), ResponseCache::Lookup::Peek).value,
+      nullptr);
 }
 
 TEST(LookupAllowStaleTest, AbsentKeyReturnsEmptyWithoutCountingAMiss) {
   util::ManualClock clock;
   ResponseCache cache(ResponseCache::Config{}, clock);
-  ResponseCache::StaleLookup s = cache.lookup_allow_stale(CacheKey("nope"));
+  ResponseCache::LookupResult s =
+      cache.lookup(CacheKey("nope").ref(), ResponseCache::Lookup::Peek);
   EXPECT_EQ(s.value, nullptr);
   EXPECT_FALSE(s.fresh);
   EXPECT_EQ(cache.stats().misses, 0u);

@@ -118,7 +118,7 @@ TEST(TelemetryHammerTest, HotKeyTrackingOnLiveLookups) {
   constexpr int kOps = 2000;
   run_threads([&](int t) {
     for (int i = 0; i < kOps; ++i) {
-      (void)cache.lookup(keys[(t + i) % keys.size()]);
+      (void)cache.lookup(keys[(t + i) % keys.size()].ref());
       if (i % 256 == 0) (void)cache.hot_keys(8);
     }
   });

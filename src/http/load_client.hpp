@@ -33,8 +33,6 @@ struct LoadOptions {
   /// 0 = closed loop; otherwise total requests/second across all
   /// connections, paced on a fixed schedule (open loop).
   double open_rps = 0;
-
-  std::chrono::milliseconds connect_timeout{10'000};
 };
 
 struct LoadReport {

@@ -35,7 +35,7 @@ std::uint64_t now_ns() {
 
 }  // namespace
 
-// All fields except the mailbox are owned by the loop's own thread.
+// Owned by the loop thread.
 struct EpollReactor::Conn {
   std::uint64_t id = 0;
   TcpStream stream;
@@ -57,40 +57,17 @@ struct EpollReactor::Conn {
   bool in_idle = false;
 };
 
-struct EpollReactor::Loop {
-  std::size_t index = 0;
-  int epoll_fd = -1;
-  int wake_fd = -1;
-  std::thread thread;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
-  Conn* idle_head = nullptr;
-  Conn* idle_tail = nullptr;
-
-  // Mailbox: the only cross-thread surface (workers and sibling loops).
-  std::mutex mail_mu;
-  std::vector<int> incoming_fds;
-  std::vector<Completion> completions;
-};
-
-class EpollReactor::WorkerPool {
- public:
-  explicit WorkerPool(std::size_t n) : pool(n) {}
-  util::ThreadPool pool;
-};
-
 EpollReactor::EpollReactor(std::uint16_t port, Handler handler,
                            ServerOptions options, ServerStats& stats)
     : options_(std::move(options)),
       handler_(std::move(handler)),
       stats_(stats),
       listener_(port) {
-  if (options_.event_loops == 0) options_.event_loops = 1;
   if (options_.worker_threads == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     options_.worker_threads = 2 * (hw ? hw : 2);
   }
-  if (options_.max_dispatch_queue == 0)
-    options_.max_dispatch_queue = 64 * options_.worker_threads;
+  dispatch_cap_ = 64 * options_.worker_threads;
 }
 
 EpollReactor::~EpollReactor() { stop(); }
@@ -99,34 +76,21 @@ void EpollReactor::start() {
   if (running_.exchange(true)) return;
   stopping_.store(false);
   listener_.set_nonblocking(true);
-  if (!options_.inline_handlers)
-    pool_ = std::make_unique<WorkerPool>(options_.worker_threads);
-  stats_.worker_threads.store(options_.inline_handlers
-                                  ? 0
-                                  : options_.worker_threads,
+  pool_ = std::make_unique<util::ThreadPool>(options_.worker_threads);
+  stats_.worker_threads.store(options_.worker_threads,
                               std::memory_order_relaxed);
-  for (std::size_t i = 0; i < options_.event_loops; ++i) {
-    auto loop = std::make_unique<Loop>();
-    loop->index = i;
-    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    loop->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (loop->epoll_fd < 0 || loop->wake_fd < 0)
-      throw TransportError(std::string("reactor setup: ") +
-                           std::strerror(errno));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kWakeId;
-    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev);
-    if (i == 0) {
-      epoll_event lev{};
-      lev.events = EPOLLIN;
-      lev.data.u64 = kListenerId;
-      ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, listener_.fd(), &lev);
-    }
-    loops_.push_back(std::move(loop));
-  }
-  for (auto& loop : loops_)
-    loop->thread = std::thread([this, l = loop.get()] { loop_main(*l); });
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (epoll_fd_ < 0 || wake_fd_ < 0)
+    throw TransportError(std::string("reactor setup: ") +
+                         std::strerror(errno));
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeId;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  ev.data.u64 = kListenerId;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_.fd(), &ev);
+  thread_ = std::thread([this] { loop_main(); });
 }
 
 void EpollReactor::stop() {
@@ -135,28 +99,25 @@ void EpollReactor::stop() {
   // on are answered with Connection: close.
   stopping_.store(true, std::memory_order_release);
   listener_.shutdown();
-  // Phase 2: drain in-flight handlers while the loops still run, so their
+  // Phase 2: drain in-flight handlers while the loop still runs, so their
   // responses reach the wire.
-  if (pool_) pool_->pool.shutdown();
-  // Phase 3: bring the loops down; they close every remaining connection.
+  pool_->shutdown();
+  // Phase 3: bring the loop down; it closes every remaining connection.
   running_.store(false, std::memory_order_release);
-  for (auto& loop : loops_) wake(*loop);
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
-    if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
-    if (loop->wake_fd >= 0) ::close(loop->wake_fd);
-    loop->epoll_fd = loop->wake_fd = -1;
-  }
-  loops_.clear();
+  wake();
+  if (thread_.joinable()) thread_.join();
+  ::close(epoll_fd_);
+  ::close(wake_fd_);
+  epoll_fd_ = wake_fd_ = -1;
   pool_.reset();
   stats_.worker_threads.store(0, std::memory_order_relaxed);
   stats_.dispatch_depth.store(0, std::memory_order_relaxed);
 }
 
-void EpollReactor::loop_main(Loop& loop) {
+void EpollReactor::loop_main() {
   epoll_event events[256];
   while (running_.load(std::memory_order_acquire)) {
-    int n = ::epoll_wait(loop.epoll_fd, events, 256, kEpollWaitMs);
+    int n = ::epoll_wait(epoll_fd_, events, 256, kEpollWaitMs);
     if (n < 0) {
       if (errno == EINTR) continue;
       util::log(util::LogLevel::Warn, "epoll_wait failed: ",
@@ -166,95 +127,74 @@ void EpollReactor::loop_main(Loop& loop) {
     for (int i = 0; i < n; ++i) {
       const std::uint64_t id = events[i].data.u64;
       if (id == kListenerId) {
-        accept_batch(loop);
+        accept_batch();
         continue;
       }
       if (id == kWakeId) {
         std::uint64_t drain = 0;
-        while (::read(loop.wake_fd, &drain, sizeof(drain)) > 0) {
+        while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
         }
-        process_mailbox(loop);
+        process_mailbox();
         continue;
       }
-      Conn* conn = find_conn(loop, id);
+      Conn* conn = find_conn(id);
       if (!conn) continue;  // closed earlier this batch
       if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        close_conn(loop, *conn);
+        close_conn(*conn);
         continue;
       }
       bool alive = true;
       if ((events[i].events & EPOLLOUT) && conn->state == Conn::State::Writing)
-        alive = flush(loop, *conn);
+        alive = flush(*conn);
       if (alive && (events[i].events & EPOLLIN)) {
         // flush() may have re-entered Reading with pipelined bytes already
         // handled; handle_readable is a no-op for non-reading states.
-        conn = find_conn(loop, id);
-        if (conn) handle_readable(loop, *conn);
+        conn = find_conn(id);
+        if (conn) handle_readable(*conn);
       }
     }
-    process_mailbox(loop);
-    reap_idle(loop, now_ns());
-    if (loop.index == 0) maybe_resume_accepting(loop);
+    process_mailbox();
+    reap_idle(now_ns());
+    maybe_resume_accepting();
   }
-  // Shutdown: close every connection this loop still owns.
-  for (auto& [id, conn] : loop.conns) {
-    idle_unlink(loop, *conn);
+  // Shutdown: close every connection still open.
+  for (auto& [id, conn] : conns_) {
+    idle_unlink(*conn);
     stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
     stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
   }
-  loop.conns.clear();
+  conns_.clear();
 }
 
-void EpollReactor::process_mailbox(Loop& loop) {
-  std::vector<int> fds;
+void EpollReactor::process_mailbox() {
   std::vector<Completion> completions;
   {
-    std::lock_guard lock(loop.mail_mu);
-    fds.swap(loop.incoming_fds);
-    completions.swap(loop.completions);
+    std::lock_guard lock(mail_mu_);
+    completions.swap(completions_);
   }
-  for (int fd : fds) add_conn(loop, TcpStream(fd));
   for (Completion& c : completions) {
     stats_.dispatch_depth.fetch_sub(1, std::memory_order_relaxed);
-    Conn* conn = find_conn(loop, c.conn_id);
+    Conn* conn = find_conn(c.conn_id);
     if (!conn) continue;  // connection died while the handler ran
-    if (apply_completion(loop, *conn, std::move(c.bytes), c.close_after)) {
+    if (apply_completion(*conn, std::move(c.bytes), c.close_after)) {
       // Fully flushed and back to Reading: consume pipelined bytes.
-      Conn* again = find_conn(loop, c.conn_id);
+      Conn* again = find_conn(c.conn_id);
       if (again && again->state == Conn::State::Reading)
-        handle_readable(loop, *again);
+        handle_readable(*again);
     }
   }
 }
 
-void EpollReactor::accept_batch(Loop& loop) {
+void EpollReactor::accept_batch() {
   for (int i = 0; i < kAcceptBatch; ++i) {
-    if (accept_paused_.load(std::memory_order_relaxed)) return;
     if (over_pressure()) {
-      pause_accepting(loop);
+      pause_accepting();
       return;
     }
     TcpStream stream;
-    switch (listener_.try_accept(stream)) {
-      case TcpListener::AcceptResult::WouldBlock:
-        return;
-      case TcpListener::AcceptResult::Closed:
-        return;
-      case TcpListener::AcceptResult::Accepted:
-        break;
-    }
-    const std::size_t target =
-        next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-    if (target == loop.index) {
-      add_conn(loop, std::move(stream));
-    } else {
-      Loop& other = *loops_[target];
-      {
-        std::lock_guard lock(other.mail_mu);
-        other.incoming_fds.push_back(stream.release());
-      }
-      wake(other);
-    }
+    if (listener_.try_accept(stream) != TcpListener::AcceptResult::Accepted)
+      return;  // backlog drained, or the listener was shut down
+    add_conn(std::move(stream));
   }
 }
 
@@ -263,12 +203,13 @@ bool EpollReactor::over_pressure() const {
       options_.max_connections)
     return true;
   return stats_.dispatch_depth.load(std::memory_order_relaxed) >
-         options_.max_dispatch_queue;
+         dispatch_cap_;
 }
 
-void EpollReactor::pause_accepting(Loop& loop) {
-  if (accept_paused_.exchange(true)) return;
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, listener_.fd(), nullptr);
+void EpollReactor::pause_accepting() {
+  if (accept_paused_) return;
+  accept_paused_ = true;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_.fd(), nullptr);
   stats_.accept_pauses.fetch_add(1, std::memory_order_relaxed);
   obs::event_log().emit(
       obs::EventKind::AcceptPause, "http.server",
@@ -276,57 +217,57 @@ void EpollReactor::pause_accepting(Loop& loop) {
       stats_.connections_active.load(std::memory_order_relaxed));
 }
 
-void EpollReactor::maybe_resume_accepting(Loop& loop) {
-  if (!accept_paused_.load(std::memory_order_relaxed)) return;
+void EpollReactor::maybe_resume_accepting() {
+  if (!accept_paused_) return;
   const std::uint64_t active =
       stats_.connections_active.load(std::memory_order_relaxed);
   if (active >= options_.max_connections * 9 / 10) return;
   if (stats_.dispatch_depth.load(std::memory_order_relaxed) >
-      options_.max_dispatch_queue / 2)
+      dispatch_cap_ / 2)
     return;
   int fd = listener_.fd();
   if (fd < 0) return;  // shut down
   epoll_event lev{};
   lev.events = EPOLLIN;
   lev.data.u64 = kListenerId;
-  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &lev) == 0)
-    accept_paused_.store(false, std::memory_order_relaxed);
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &lev) == 0)
+    accept_paused_ = false;
 }
 
-EpollReactor::Conn* EpollReactor::find_conn(Loop& loop, std::uint64_t id) {
-  auto it = loop.conns.find(id);
-  return it == loop.conns.end() ? nullptr : it->second.get();
+EpollReactor::Conn* EpollReactor::find_conn(std::uint64_t id) {
+  auto it = conns_.find(id);
+  return it == conns_.end() ? nullptr : it->second.get();
 }
 
-void EpollReactor::add_conn(Loop& loop, TcpStream stream) {
+void EpollReactor::add_conn(TcpStream stream) {
   auto conn = std::make_unique<Conn>();
-  conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
+  conn->id = next_conn_id_++;
   conn->stream = std::move(stream);
   conn->parser.set_limits(options_.limits);
   Conn* raw = conn.get();
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = raw->id;
-  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, raw->stream.fd(), &ev) != 0) {
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, raw->stream.fd(), &ev) != 0) {
     return;  // fd is closed by the TcpStream destructor
   }
   raw->events = EPOLLIN;
-  loop.conns.emplace(raw->id, std::move(conn));
+  conns_.emplace(raw->id, std::move(conn));
   stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
   stats_.connections_active.fetch_add(1, std::memory_order_relaxed);
-  idle_touch(loop, *raw);
+  idle_touch(*raw);
 }
 
-void EpollReactor::close_conn(Loop& loop, Conn& conn, bool reaped_idle) {
-  idle_unlink(loop, conn);
+void EpollReactor::close_conn(Conn& conn, bool reaped_idle) {
+  idle_unlink(conn);
   stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
   stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
   if (reaped_idle) stats_.idle_reaped.fetch_add(1, std::memory_order_relaxed);
   // close() removes the fd from every epoll set automatically.
-  loop.conns.erase(conn.id);
+  conns_.erase(conn.id);
 }
 
-void EpollReactor::update_interest(Loop& loop, Conn& conn, bool want_read,
+void EpollReactor::update_interest(Conn& conn, bool want_read,
                                    bool want_write) {
   const std::uint32_t events =
       (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
@@ -334,11 +275,11 @@ void EpollReactor::update_interest(Loop& loop, Conn& conn, bool want_read,
   epoll_event ev{};
   ev.events = events;
   ev.data.u64 = conn.id;
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.stream.fd(), &ev);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.stream.fd(), &ev);
   conn.events = events;
 }
 
-bool EpollReactor::handle_readable(Loop& loop, Conn& conn) {
+bool EpollReactor::handle_readable(Conn& conn) {
   char buf[kReadChunk];
   try {
     for (;;) {
@@ -349,7 +290,7 @@ bool EpollReactor::handle_readable(Loop& loop, Conn& conn) {
           IoResult r = conn.stream.try_read(buf, sizeof(buf));
           if (r.would_block) return true;
           if (r.closed) {
-            close_conn(loop, conn);
+            close_conn(conn);
             return false;
           }
         }
@@ -359,156 +300,114 @@ bool EpollReactor::handle_readable(Loop& loop, Conn& conn) {
         std::size_t used = conn.parser.feed(conn.pending);
         conn.pending.erase(0, used);
         if (conn.parser.complete()) {
-          if (!on_request(loop, conn)) return false;
+          if (!on_request(conn)) return false;
           continue;
         }
       }
       IoResult r = conn.stream.try_read(buf, sizeof(buf));
       if (r.would_block) {
-        idle_touch(loop, conn);
+        idle_touch(conn);
         return true;
       }
       if (r.closed) {
-        close_conn(loop, conn);
+        close_conn(conn);
         return false;
       }
       stats_.bytes_in.fetch_add(r.bytes, std::memory_order_relaxed);
       std::size_t used = conn.parser.feed(std::string_view(buf, r.bytes));
       if (used < r.bytes) conn.pending.append(buf + used, r.bytes - used);
       if (conn.parser.complete()) {
-        if (!on_request(loop, conn)) return false;
+        if (!on_request(conn)) return false;
       }
     }
   } catch (const HeaderLimitError&) {
     stats_.limit_rejected.fetch_add(1, std::memory_order_relaxed);
-    return respond_direct(loop, conn, 431, "request header fields too large",
-                          /*close_after=*/true);
+    return respond_direct(conn, 431, "request header fields too large");
   } catch (const BodyLimitError&) {
     stats_.limit_rejected.fetch_add(1, std::memory_order_relaxed);
-    return respond_direct(loop, conn, 413, "request body too large",
-                          /*close_after=*/true);
+    return respond_direct(conn, 413, "request body too large");
   } catch (const ParseError& e) {
     stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     util::log(util::LogLevel::Debug, "protocol error: ", e.what());
-    return respond_direct(loop, conn, 400, "malformed request",
-                          /*close_after=*/true);
+    return respond_direct(conn, 400, "malformed request");
   } catch (const std::exception& e) {
     // bad_alloc / length_error from hostile inputs: drop the connection,
     // never the process.
     stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     util::log(util::LogLevel::Warn, "connection error: ", e.what());
-    close_conn(loop, conn);
+    close_conn(conn);
     return false;
   } catch (...) {
     stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    close_conn(loop, conn);
+    close_conn(conn);
     return false;
   }
 }
 
-bool EpollReactor::on_request(Loop& loop, Conn& conn) {
+bool EpollReactor::on_request(Conn& conn) {
   Request request = conn.parser.take();
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
   bool keep = request_keep_alive(request);
   if (stopping_.load(std::memory_order_acquire)) keep = false;
   conn.state = Conn::State::Dispatched;
-  idle_unlink(loop, conn);
-  update_interest(loop, conn, /*want_read=*/false, /*want_write=*/false);
+  idle_unlink(conn);
+  update_interest(conn, /*want_read=*/false, /*want_write=*/false);
   stats_.dispatch_depth.fetch_add(1, std::memory_order_relaxed);
-  if (!pool_) {
-    Completion c = make_completion(conn.id, request, keep);
-    stats_.dispatch_depth.fetch_sub(1, std::memory_order_relaxed);
-    return apply_completion(loop, conn, std::move(c.bytes), c.close_after);
-  }
   try {
-    pool_->pool.submit([this, l = &loop, id = conn.id,
-                        req = std::move(request), keep] {
-      Completion c = make_completion(id, req, keep);
-      post_completion(*l, std::move(c));
+    // Workers touch no loop or connection state: they run the handler and
+    // post the serialized response back through the mailbox.
+    pool_->submit([this, id = conn.id, req = std::move(request), keep] {
+      Response response = run_handler(handler_, req, keep, stats_);
+      post_completion({id, response.to_bytes(), !keep});
     });
   } catch (const Error&) {
     // Pool already shut down (stop() racing a late request): just close.
     stats_.dispatch_depth.fetch_sub(1, std::memory_order_relaxed);
-    close_conn(loop, conn);
+    close_conn(conn);
     return false;
   }
   return true;
 }
 
-EpollReactor::Completion EpollReactor::make_completion(std::uint64_t conn_id,
-                                                       const Request& request,
-                                                       bool keep_alive) {
-  Response response;
-  try {
-    response = handler_(request);
-  } catch (const std::exception& e) {
-    stats_.handler_errors.fetch_add(1, std::memory_order_relaxed);
-    response = Response{};
-    response.status = 500;
-    response.headers.set("Content-Type", "text/plain");
-    response.body = std::string("internal error: ") + e.what();
-  } catch (...) {
-    stats_.handler_errors.fetch_add(1, std::memory_order_relaxed);
-    response = Response{};
-    response.status = 500;
-    response.headers.set("Content-Type", "text/plain");
-    response.body = "internal error";
-  }
-  // Echo the keep-alive decision so HTTP/1.0 clients know we honoured
-  // (or declined) persistence.
-  response.headers.set("Connection", keep_alive ? "keep-alive" : "close");
-  Completion c;
-  c.conn_id = conn_id;
-  c.bytes = response.to_bytes();
-  c.close_after = !keep_alive;
-  return c;
-}
-
-void EpollReactor::post_completion(Loop& loop, Completion completion) {
+void EpollReactor::post_completion(Completion completion) {
   {
-    std::lock_guard lock(loop.mail_mu);
-    loop.completions.push_back(std::move(completion));
+    std::lock_guard lock(mail_mu_);
+    completions_.push_back(std::move(completion));
   }
-  wake(loop);
+  wake();
 }
 
-void EpollReactor::wake(Loop& loop) {
+void EpollReactor::wake() {
   const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(loop.wake_fd, &one, sizeof(one));
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
-bool EpollReactor::apply_completion(Loop& loop, Conn& conn, std::string bytes,
+// No write cap is needed: a connection stops reading while its response
+// is in flight, so it holds at most one response, and a peer that stops
+// reading mid-write is closed by the idle timeout like any idle one.
+bool EpollReactor::apply_completion(Conn& conn, std::string bytes,
                                     bool close_after) {
-  const std::size_t queued = conn.outbuf.size() - conn.out_off;
-  if (queued + bytes.size() > options_.write_buffer_cap) {
-    stats_.overflow_closed.fetch_add(1, std::memory_order_relaxed);
-    close_conn(loop, conn);
-    return false;
-  }
-  if (conn.outbuf.empty()) {
-    conn.outbuf = std::move(bytes);
-  } else {
-    conn.outbuf.append(bytes);
-  }
-  conn.close_after_write = close_after || conn.close_after_write;
+  conn.outbuf = std::move(bytes);
+  conn.out_off = 0;
+  conn.close_after_write = close_after;
   conn.state = Conn::State::Writing;
   stats_.responses.fetch_add(1, std::memory_order_relaxed);
-  return flush(loop, conn);
+  return flush(conn);
 }
 
-bool EpollReactor::flush(Loop& loop, Conn& conn) {
+bool EpollReactor::flush(Conn& conn) {
   IoResult r = conn.stream.try_write(
       std::string_view(conn.outbuf).substr(conn.out_off));
   stats_.bytes_out.fetch_add(r.bytes, std::memory_order_relaxed);
   conn.out_off += r.bytes;
   if (r.closed) {
-    close_conn(loop, conn);
+    close_conn(conn);
     return false;
   }
   if (r.would_block) {
     conn.state = Conn::State::Writing;
-    update_interest(loop, conn, /*want_read=*/false, /*want_write=*/true);
-    idle_touch(loop, conn);
+    update_interest(conn, /*want_read=*/false, /*want_write=*/true);
+    idle_touch(conn);
     return true;
   }
   conn.outbuf.clear();
@@ -517,21 +416,21 @@ bool EpollReactor::flush(Loop& loop, Conn& conn) {
     if (conn.drain_before_close) {
       conn.stream.shutdown_write();
       conn.state = Conn::State::Draining;
-      update_interest(loop, conn, /*want_read=*/true, /*want_write=*/false);
-      idle_touch(loop, conn);
+      update_interest(conn, /*want_read=*/true, /*want_write=*/false);
+      idle_touch(conn);
       return true;
     }
-    close_conn(loop, conn);
+    close_conn(conn);
     return false;
   }
   conn.state = Conn::State::Reading;
-  update_interest(loop, conn, /*want_read=*/true, /*want_write=*/false);
-  idle_touch(loop, conn);
+  update_interest(conn, /*want_read=*/true, /*want_write=*/false);
+  idle_touch(conn);
   return true;
 }
 
-bool EpollReactor::respond_direct(Loop& loop, Conn& conn, int status,
-                                  const std::string& body, bool close_after) {
+bool EpollReactor::respond_direct(Conn& conn, int status,
+                                  const std::string& body) {
   Response response;
   response.status = status;
   response.headers.set("Content-Type", "text/plain");
@@ -539,54 +438,50 @@ bool EpollReactor::respond_direct(Loop& loop, Conn& conn, int status,
   response.body = body;
   conn.pending.clear();
   conn.drain_before_close = true;  // let the rejection reach the peer
-  conn.state = Conn::State::Dispatched;  // bypass the Reading no-op check
-  return apply_completion(loop, conn, response.to_bytes(), close_after);
+  return apply_completion(conn, response.to_bytes(), /*close_after=*/true);
 }
 
-void EpollReactor::idle_touch(Loop& loop, Conn& conn) {
+void EpollReactor::idle_touch(Conn& conn) {
   const std::uint64_t timeout_ns =
       conn.state == Conn::State::Draining
           ? kDrainDeadlineNs
           : static_cast<std::uint64_t>(options_.idle_timeout.count()) *
                 1'000'000ull;
-  if (timeout_ns == 0) {
-    idle_unlink(loop, conn);
-    return;
-  }
-  idle_unlink(loop, conn);
+  idle_unlink(conn);
+  if (timeout_ns == 0) return;
   conn.idle_deadline_ns = now_ns() + timeout_ns;
-  conn.idle_prev = loop.idle_tail;
+  conn.idle_prev = idle_tail_;
   conn.idle_next = nullptr;
-  if (loop.idle_tail)
-    loop.idle_tail->idle_next = &conn;
+  if (idle_tail_)
+    idle_tail_->idle_next = &conn;
   else
-    loop.idle_head = &conn;
-  loop.idle_tail = &conn;
+    idle_head_ = &conn;
+  idle_tail_ = &conn;
   conn.in_idle = true;
   stats_.connections_idle.fetch_add(1, std::memory_order_relaxed);
 }
 
-void EpollReactor::idle_unlink(Loop& loop, Conn& conn) {
+void EpollReactor::idle_unlink(Conn& conn) {
   if (!conn.in_idle) return;
   if (conn.idle_prev)
     conn.idle_prev->idle_next = conn.idle_next;
   else
-    loop.idle_head = conn.idle_next;
+    idle_head_ = conn.idle_next;
   if (conn.idle_next)
     conn.idle_next->idle_prev = conn.idle_prev;
   else
-    loop.idle_tail = conn.idle_prev;
+    idle_tail_ = conn.idle_prev;
   conn.idle_prev = conn.idle_next = nullptr;
   conn.in_idle = false;
   stats_.connections_idle.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void EpollReactor::reap_idle(Loop& loop, std::uint64_t now) {
+void EpollReactor::reap_idle(std::uint64_t now) {
   std::uint64_t reaped = 0;
-  while (loop.idle_head && loop.idle_head->idle_deadline_ns <= now) {
-    Conn* conn = loop.idle_head;
+  while (idle_head_ && idle_head_->idle_deadline_ns <= now) {
+    Conn* conn = idle_head_;
     const bool draining = conn->state == Conn::State::Draining;
-    close_conn(loop, *conn, /*reaped_idle=*/!draining);
+    close_conn(*conn, /*reaped_idle=*/!draining);
     if (!draining) ++reaped;
   }
   if (reaped > 0)

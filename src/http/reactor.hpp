@@ -2,20 +2,20 @@
 //
 // Architecture (DESIGN.md §12):
 //
-//   accept --pacing--> [event loop 0..N-1] --parsed Request--> worker pool
-//        listener           |   ^                                  |
-//        (loop 0)           v   | completions (mailbox + eventfd)  |
-//                      connection FSM  <----------------------------
+//   accept --pacing--> [event loop] --parsed Request--> worker pool
+//                        |   ^                              |
+//                        v   | completions (mailbox+eventfd)|
+//                   connection FSM  <------------------------
 //
-// Each accepted socket belongs to exactly one event loop; all of its
-// state (parser, buffers, idle-list links) is touched only by that loop's
-// thread.  Workers receive the parsed Request by value and hand the
-// serialized response bytes back through the loop's mailbox, so no
-// socket or epoll call ever happens off-loop.  Backpressure: the listener
-// is unregistered from epoll while the active-connection or dispatch-
-// queue caps are exceeded (accept pacing — the kernel backlog absorbs the
-// burst), and a connection whose un-flushed output exceeds the write cap
-// is closed.
+// One event loop thread owns the listener and every accepted socket; all
+// connection state (parser, buffers, idle-list links) is touched only by
+// that thread.  Workers receive the parsed Request by value and hand the
+// serialized response bytes back through the mailbox, so no socket or
+// epoll call ever happens off-loop.  Backpressure: the listener is
+// unregistered from epoll while the active-connection or dispatch caps
+// are exceeded (accept pacing — the kernel backlog absorbs the burst); a
+// connection stops reading while its one response is in flight, and the
+// idle reaper closes a peer that stops reading mid-response.
 #pragma once
 
 #include <atomic>
@@ -27,6 +27,10 @@
 #include <vector>
 
 #include "http/server.hpp"
+
+namespace wsc::util {
+class ThreadPool;
+}
 
 namespace wsc::http {
 
@@ -46,60 +50,64 @@ class EpollReactor {
 
  private:
   struct Conn;
-  struct Loop;
   struct Completion {
     std::uint64_t conn_id = 0;
     std::string bytes;
     bool close_after = false;
   };
 
-  void loop_main(Loop& loop);
-  void process_mailbox(Loop& loop);
-  void accept_batch(Loop& loop);
-  void pause_accepting(Loop& loop);
-  void maybe_resume_accepting(Loop& loop);
+  void loop_main();
+  void process_mailbox();
+  void accept_batch();
+  void pause_accepting();
+  void maybe_resume_accepting();
   bool over_pressure() const;
 
-  Conn* find_conn(Loop& loop, std::uint64_t id);
-  void add_conn(Loop& loop, TcpStream stream);
-  void close_conn(Loop& loop, Conn& conn, bool reaped_idle = false);
+  Conn* find_conn(std::uint64_t id);
+  void add_conn(TcpStream stream);
+  void close_conn(Conn& conn, bool reaped_idle = false);
   /// All return false when they closed the connection.
-  bool handle_readable(Loop& loop, Conn& conn);
-  bool on_request(Loop& loop, Conn& conn);
-  bool apply_completion(Loop& loop, Conn& conn, std::string bytes,
-                        bool close_after);
-  bool flush(Loop& loop, Conn& conn);
-  bool respond_direct(Loop& loop, Conn& conn, int status,
-                      const std::string& body, bool close_after);
-  void update_interest(Loop& loop, Conn& conn, bool want_read,
-                       bool want_write);
+  bool handle_readable(Conn& conn);
+  bool on_request(Conn& conn);
+  bool apply_completion(Conn& conn, std::string bytes, bool close_after);
+  bool flush(Conn& conn);
+  bool respond_direct(Conn& conn, int status, const std::string& body);
+  void update_interest(Conn& conn, bool want_read, bool want_write);
 
-  void idle_touch(Loop& loop, Conn& conn);
-  void idle_unlink(Loop& loop, Conn& conn);
-  void reap_idle(Loop& loop, std::uint64_t now_ns);
+  void idle_touch(Conn& conn);
+  void idle_unlink(Conn& conn);
+  void reap_idle(std::uint64_t now_ns);
 
-  void post_completion(Loop& loop, Completion completion);
-  void wake(Loop& loop);
-  /// Runs the handler (500 on throw) and serializes the response.  Called
-  /// from worker threads — touches no loop or connection state.
-  Completion make_completion(std::uint64_t conn_id, const Request& request,
-                             bool keep_alive);
+  void post_completion(Completion completion);
+  void wake();
 
   ServerOptions options_;
   Handler handler_;
   ServerStats& stats_;
   TcpListener listener_;
+  /// Accept pacing also pauses while more requests than this are queued
+  /// or running in the pool (64 x worker threads).
+  std::size_t dispatch_cap_ = 0;
 
-  std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};   // stop() entered: close after reply
-  std::atomic<bool> accept_paused_{false};
-  std::atomic<std::uint64_t> next_conn_id_{16};
-  std::atomic<std::size_t> next_loop_{0};
+  std::atomic<bool> stopping_{false};  // stop() entered: close after reply
 
-  // Bounded handler pool (lazily started; completions flow via mailboxes).
-  class WorkerPool;
-  std::unique_ptr<WorkerPool> pool_;
+  // Loop-thread state.
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  std::thread thread_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
+  Conn* idle_head_ = nullptr;  // oldest deadline first
+  Conn* idle_tail_ = nullptr;
+  bool accept_paused_ = false;
+  std::uint64_t next_conn_id_ = 16;
+
+  // Mailbox: the only cross-thread surface (workers -> loop).
+  std::mutex mail_mu_;
+  std::vector<Completion> completions_;
+
+  // Handler pool, started by start() and drained by stop().
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace wsc::http

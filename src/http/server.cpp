@@ -118,6 +118,32 @@ void HttpServer::unregister_connection(TcpStream& stream) {
   active_conns_.erase(&stream);
 }
 
+Response run_handler(const Handler& handler, const Request& request,
+                     bool keep_alive, ServerStats& stats) {
+  Response response;
+  std::string error;
+  try {
+    response = handler(request);
+  } catch (const std::exception& e) {
+    error = std::string("internal error: ") + e.what();
+  } catch (...) {
+    error = "internal error";
+  }
+  if (!error.empty()) {
+    stats.handler_errors.fetch_add(1, std::memory_order_relaxed);
+    response = Response{};
+    response.status = 500;
+    response.headers.set("Content-Type", "text/plain");
+    response.body = std::move(error);
+  }
+  // RFC 7230 §6.3: HTTP/1.0 closes unless the client opted into
+  // keep-alive; 1.1 persists unless the client asked to close.  Echo the
+  // decision so 1.0 clients do not wait on a connection we are about to
+  // keep open (or vice versa).
+  response.headers.set("Connection", keep_alive ? "keep-alive" : "close");
+  return response;
+}
+
 namespace {
 
 // Answer a framing/limit rejection and linger briefly so the response
@@ -181,27 +207,9 @@ void HttpServer::serve_connection(TcpStream stream, std::uint64_t worker_id) {
       }
       Request request = parser.take();
       stats_.requests.fetch_add(1, std::memory_order_relaxed);
-      Response response;
-      try {
-        response = handler_(request);
-      } catch (const std::exception& e) {
-        stats_.handler_errors.fetch_add(1, std::memory_order_relaxed);
-        response.status = 500;
-        response.headers.set("Content-Type", "text/plain");
-        response.body = std::string("internal error: ") + e.what();
-      } catch (...) {
-        stats_.handler_errors.fetch_add(1, std::memory_order_relaxed);
-        response.status = 500;
-        response.headers.set("Content-Type", "text/plain");
-        response.body = "internal error";
-      }
-      // RFC 7230 §6.3: HTTP/1.0 closes unless the client opted into
-      // keep-alive; 1.1 persists unless the client asked to close.  Echo
-      // the decision so 1.0 clients do not wait on a connection we are
-      // about to keep open (or vice versa).
       const bool keep = request_keep_alive(request);
-      response.headers.set("Connection", keep ? "keep-alive" : "close");
-      const std::string bytes = response.to_bytes();
+      const std::string bytes =
+          run_handler(handler_, request, keep, stats_).to_bytes();
       stream.write_all(bytes);
       stats_.bytes_out.fetch_add(bytes.size(), std::memory_order_relaxed);
       stats_.responses.fetch_add(1, std::memory_order_relaxed);

@@ -4,18 +4,19 @@
 //    acceptor thread hands each connection to a worker thread that serves
 //    requests until the peer disconnects.  Finished worker handles are
 //    reaped as the server runs (they used to accumulate forever).
-//  * Reactor — a nonblocking epoll event loop owning every accepted
+//  * Reactor — one nonblocking epoll event loop owning every accepted
 //    socket: per-connection state machines drive the incremental
-//    RequestParser, parsed requests dispatch to a bounded worker pool,
-//    responses stream back with EPOLLOUT re-arming, idle keep-alive
-//    connections are reaped on a deadline, and backpressure comes from
-//    accept pacing plus per-connection write-buffer caps.  This is the
-//    mode that holds 10k concurrent connections cheaply.
+//    RequestParser, parsed requests dispatch to a worker pool, responses
+//    stream back with EPOLLOUT re-arming, and idle keep-alive connections
+//    (or readers stalled mid-response) are reaped on a deadline.
+//    Backpressure is accept pacing plus one response in flight per
+//    connection.  This is the mode that holds 10k concurrent connections
+//    cheaply.
 //
-// `Handler` is invoked once per request; exceptions map to 500 responses
-// so a buggy service cannot wedge a connection.  Hostile inputs (oversized
-// headers/bodies, garbage framing) map to 431/413/400 and a dropped
-// connection — never a dead process.
+// `Handler` is invoked once per request through run_handler(), in both
+// modes; exceptions map to 500 responses so a buggy service cannot wedge a
+// connection.  Hostile inputs (oversized headers/bodies, garbage framing)
+// map to 431/413/400 and a dropped connection — never a dead process.
 #pragma once
 
 #include <atomic>
@@ -55,25 +56,15 @@ struct ServerOptions {
   /// resume below 90% (accept pacing backpressure).
   std::size_t max_connections = 16 * 1024;
 
-  /// Reactor: close a connection whose un-flushed response bytes exceed
-  /// this cap (slow or stalled reader).
-  std::size_t write_buffer_cap = 4 * 1024 * 1024;
-
   /// Reactor: handler threads.  0 = 2 x hardware_concurrency (the handler
-  /// is synchronous and may block on backend SOAP calls).  SIZE_MAX is
-  /// reserved; 1..N gives a fixed pool.  `inline_handlers` = true runs
-  /// handlers on the event loop itself (tests, pure-CPU handlers).
+  /// is synchronous and may block on backend SOAP calls).
   std::size_t worker_threads = 0;
-  bool inline_handlers = false;
-
-  /// Reactor: pause accepting while more than this many requests are
-  /// queued or running in the worker pool (0 = 64 x worker threads).
-  std::size_t max_dispatch_queue = 0;
-
-  /// Reactor: number of event loops (sockets are sharded across them
-  /// round-robin; loop 0 owns the listener).
-  std::size_t event_loops = 1;
 };
+
+/// Runs `handler` on `request` for either mode: a throw becomes a 500 and
+/// counts handler_errors, and the Connection header echoes `keep_alive`.
+Response run_handler(const Handler& handler, const Request& request,
+                     bool keep_alive, ServerStats& stats);
 
 class HttpServer {
  public:

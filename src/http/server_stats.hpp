@@ -26,7 +26,6 @@ struct ServerStats {
   std::atomic<std::uint64_t> limit_rejected{0};
   std::atomic<std::uint64_t> protocol_errors{0};
   std::atomic<std::uint64_t> accept_pauses{0};
-  std::atomic<std::uint64_t> overflow_closed{0};
   std::atomic<std::uint64_t> workers_reaped{0};
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
@@ -65,9 +64,6 @@ inline constexpr auto kServerFields =
      obs::kCounter, &ServerStats::protocol_errors},
     {"accept_pauses", "Times accept pacing engaged (backpressure).",
      obs::kCounter, &ServerStats::accept_pauses},
-    {"overflow_closed",
-     "Connections closed for exceeding the write-buffer cap.", obs::kCounter,
-     &ServerStats::overflow_closed},
     {"workers_reaped", "Finished worker threads joined (threaded mode).",
      obs::kCounter, &ServerStats::workers_reaped},
     {"worker_threads", "Live handler threads.", obs::kGauge,

@@ -260,8 +260,6 @@ void TcpStream::shutdown_write() noexcept {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
 
-int TcpStream::release() noexcept { return std::exchange(fd_, -1); }
-
 void TcpStream::close() noexcept {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -93,10 +93,6 @@ class TcpStream {
   /// our final response before we drain and drop the connection).
   void shutdown_write() noexcept;
 
-  /// Give up ownership of the fd without closing it (mailbox handoff
-  /// between event loops); -1 when already closed.
-  int release() noexcept;
-
   /// Raw descriptor (for connection registries); -1 when closed.
   int fd() const noexcept { return fd_; }
 

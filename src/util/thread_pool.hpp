@@ -1,8 +1,8 @@
 // Fixed-size thread pool.
 //
-// Used by the HTTP server (one logical worker per in-flight request, like
-// Tomcat's connector pool in the paper's portal scenario) and by the load
-// simulator's virtual clients.
+// Runs the reactor-mode HTTP server's handlers (one logical worker per
+// in-flight request, like Tomcat's connector pool in the paper's portal
+// scenario).
 #pragma once
 
 #include <condition_variable>

@@ -1,12 +1,15 @@
 // Server lifecycle: worker-handle reaping (the ISSUE-9 thread leak),
-// reactor idle-timeout reaping, and clean stop() with parked keep-alive
-// connections.
+// reactor idle-timeout reaping (including a reader that stalls mid-write),
+// accept pacing at max_connections, and clean stop() with parked
+// keep-alive connections.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "http/client.hpp"
@@ -87,6 +90,69 @@ TEST(ServerLifecycleTest, ReactorReapsIdleConnections) {
     n = s.read_some(buf, sizeof(buf));
   EXPECT_EQ(n, 0u) << "idle connection was not reaped";
   EXPECT_GE(server.stats().idle_reaped.load(), 1u);
+  server.stop();
+}
+
+// The reactor has no write cap: a connection holds at most one response,
+// and a reader that stops reading mid-response is closed by the idle
+// timeout like any other idle connection.  32 MiB is more than loopback
+// socket buffers absorb, so the write stalls partway.
+TEST(ServerLifecycleTest, ReactorReapsAReaderThatStallsMidWrite) {
+  constexpr std::size_t kBody = 32 * 1024 * 1024;
+  ServerOptions options;
+  options.mode = ServerOptions::Mode::Reactor;
+  options.idle_timeout = std::chrono::milliseconds(200);
+  HttpServer server(
+      0,
+      [](const Request&) {
+        Response r;
+        r.body.assign(kBody, 'x');
+        return r;
+      },
+      options);
+  server.start();
+  TcpStream s = TcpStream::connect("127.0.0.1", server.port());
+  s.write_all("GET / HTTP/1.1\r\nHost: x\r\n\r\n");  // and never read
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (server.stats().idle_reaped.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(server.stats().idle_reaped.load(), 1u)
+      << "stalled reader was not reaped by the idle timeout";
+  EXPECT_EQ(server.stats().connections_active.load(), 0u);
+  EXPECT_LT(server.stats().bytes_out.load(), kBody);
+  server.stop();
+}
+
+// Accept pacing: at max_connections the listener leaves epoll, so a
+// further connection completes its handshake in the kernel backlog but is
+// not served until the active count falls below 90% of the cap.
+TEST(ServerLifecycleTest, ReactorPausesAcceptAtMaxConnections) {
+  ServerOptions options;
+  options.mode = ServerOptions::Mode::Reactor;
+  options.max_connections = 2;
+  HttpServer server(0, ok_handler(), options);
+  server.start();
+  std::vector<std::unique_ptr<HttpConnection>> open;
+  for (int i = 0; i < 2; ++i) {
+    open.push_back(
+        std::make_unique<HttpConnection>("127.0.0.1", server.port()));
+    EXPECT_EQ(open.back()->round_trip(Request{}).body, "ok");
+  }
+  TcpStream third = TcpStream::connect("127.0.0.1", server.port());
+  third.write_all("GET / HTTP/1.1\r\nHost: x\r\n\r\n");
+  third.set_read_timeout(std::chrono::milliseconds(300));
+  char buf[4096];
+  EXPECT_THROW(third.read_some(buf, sizeof(buf)), TimeoutError)
+      << "a connection past max_connections was served";
+  EXPECT_GE(server.stats().accept_pauses.load(), 1u);
+  // Resume needs active < 90% of 2, i.e. both first connections gone.
+  open.clear();
+  third.set_read_timeout(std::chrono::milliseconds(5'000));
+  const std::size_t n = third.read_some(buf, sizeof(buf));
+  EXPECT_EQ(std::string(buf, n).rfind("HTTP/1.1 200 OK", 0), 0u)
+      << "the paused connection was not served after resume";
   server.stop();
 }
 

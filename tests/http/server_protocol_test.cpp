@@ -200,6 +200,30 @@ TEST_P(ServerProtocolTest, HandlerThrowingNonStdExceptionYields500) {
   server.stop();
 }
 
+// A response larger than the socket buffers must reach a reader that
+// keeps reading, in both modes: the reactor puts no cap on a response's
+// size, it streams it out as the peer drains it.
+TEST_P(ServerProtocolTest, LargeResponseReachesAFastReader) {
+  constexpr std::size_t kBody = 5 * 1024 * 1024;
+  Handler big = [](const Request&) {
+    Response r;
+    r.body.assign(kBody, 'x');
+    r.body.back() = 'y';
+    return r;
+  };
+  HttpServer server(0, big, options());
+  server.start();
+  SocketOptions socket_options;
+  socket_options.read_timeout = std::chrono::milliseconds(5'000);
+  HttpConnection conn("127.0.0.1", server.port(), socket_options);
+  Response r = conn.round_trip(Request{});
+  EXPECT_EQ(r.status, 200);
+  ASSERT_EQ(r.body.size(), kBody);
+  EXPECT_EQ(r.body.back(), 'y');
+  EXPECT_EQ(server.stats().responses.load(), 1u);
+  server.stop();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, ServerProtocolTest,
     ::testing::Values(ServerOptions::Mode::Threaded,

@@ -1,6 +1,7 @@
 #include "soap/deserializer.hpp"
 
 #include <set>
+#include <type_traits>
 
 #include "reflect/algorithms.hpp"
 #include "util/error.hpp"
@@ -69,8 +70,23 @@ std::string multiref_id(const xml::Attributes& attrs) {
 
 bool is_envelope_ns(const xml::QName& n) { return n.uri == kEnvelopeNs; }
 
-void require(bool cond, const std::string& msg) {
-  if (!cond) throw ParseError("SOAP: " + msg);
+/// Throws ParseError("SOAP: " + message) unless `cond`.  `message` is a
+/// string literal or a callable building the string, so a passing check
+/// builds no string.
+template <typename Message>
+void require(bool cond, const Message& message) {
+  if (cond) return;
+  if constexpr (std::is_invocable_v<const Message&>)
+    throw ParseError("SOAP: " + message());
+  else
+    throw ParseError(std::string("SOAP: ") + message);
+}
+
+/// name == op.response_element(), without building that string.
+bool is_response_element(std::string_view name, const wsdl::OperationInfo& op) {
+  constexpr std::string_view kSuffix = "Response";
+  return name.size() == op.name.size() + kSuffix.size() &&
+         name.starts_with(op.name) && name.ends_with(kSuffix);
 }
 
 bool all_ws(std::string_view text) {
@@ -89,7 +105,7 @@ void ResponseReader::start_element(const xml::QName& name,
   switch (state_) {
     case State::Start:
       require(is_envelope_ns(name) && name.local == "Envelope",
-              "expected soapenv:Envelope, got <" + name.raw + ">");
+              [&] { return "expected soapenv:Envelope, got <" + name.raw + ">"; });
       state_ = State::InEnvelope;
       return;
     case State::InEnvelope:
@@ -103,7 +119,7 @@ void ResponseReader::start_element(const xml::QName& name,
         return;
       }
       require(is_envelope_ns(name) && name.local == "Body",
-              "expected soapenv:Body, got <" + name.raw + ">");
+              [&] { return "expected soapenv:Body, got <" + name.raw + ">"; });
       state_ = State::InBody;
       return;
     case State::InBody:
@@ -120,13 +136,17 @@ void ResponseReader::start_element(const xml::QName& name,
         state_ = State::InMultiRef;
         return;
       }
-      require(name.local == op_->response_element(),
-              "expected <" + op_->response_element() + ">, got <" + name.raw + ">");
+      require(is_response_element(name.local, *op_), [&] {
+        return "expected <" + op_->response_element() + ">, got <" + name.raw +
+               ">";
+      });
       state_ = State::InWrapper;
       return;
     case State::InWrapper:
-      require(op_->result_type != nullptr,
-              "unexpected result element for void operation '" + op_->name + "'");
+      require(op_->result_type != nullptr, [&] {
+        return "unexpected result element for void operation '" + op_->name +
+               "'";
+      });
       require(!value_done_ && !value_,
               "multiple result elements in response");
       // Axis accepts any element name here ("return" by convention).
@@ -230,17 +250,18 @@ void RequestReader::start_element(const xml::QName& name,
   switch (state_) {
     case State::Start:
       require(is_envelope_ns(name) && name.local == "Envelope",
-              "expected soapenv:Envelope, got <" + name.raw + ">");
+              [&] { return "expected soapenv:Envelope, got <" + name.raw + ">"; });
       state_ = State::InEnvelope;
       return;
     case State::InEnvelope:
       require(is_envelope_ns(name) && name.local == "Body",
-              "expected soapenv:Body, got <" + name.raw + ">");
+              [&] { return "expected soapenv:Body, got <" + name.raw + ">"; });
       state_ = State::InBody;
       return;
     case State::InBody: {
       op_ = service_->operation(name.local);
-      require(op_ != nullptr, "unknown operation '" + name.local + "'");
+      require(op_ != nullptr,
+              [&] { return "unknown operation '" + name.local + "'"; });
       request_.operation = name.local;
       request_.ns = name.uri;
       state_ = State::InOperation;
@@ -248,11 +269,13 @@ void RequestReader::start_element(const xml::QName& name,
     }
     case State::InOperation: {
       const wsdl::ParamSpec* spec = op_->param(name.local);
-      require(spec != nullptr, "operation '" + op_->name +
-                                   "' has no parameter '" + name.local + "'");
+      require(spec != nullptr, [&] {
+        return "operation '" + op_->name + "' has no parameter '" +
+               name.local + "'";
+      });
       for (const Parameter& p : request_.params)
         require(p.name != name.local,
-                "duplicate parameter '" + name.local + "'");
+                [&] { return "duplicate parameter '" + name.local + "'"; });
       pending_param_ = name.local;
       value_.emplace(*spec->type);
       value_->begin(attrs);
@@ -305,10 +328,11 @@ void RequestReader::characters(std::string_view text) {
 RpcRequest RequestReader::take() {
   require(state_ == State::Done, "incomplete SOAP request document");
   require(op_ != nullptr, "request carried no operation element");
-  require(request_.params.size() == op_->params.size(),
-          "operation '" + op_->name + "' expects " +
-              std::to_string(op_->params.size()) + " parameters, got " +
-              std::to_string(request_.params.size()));
+  require(request_.params.size() == op_->params.size(), [&] {
+    return "operation '" + op_->name + "' expects " +
+           std::to_string(op_->params.size()) + " parameters, got " +
+           std::to_string(request_.params.size());
+  });
   return std::move(request_);
 }
 

@@ -26,13 +26,25 @@ std::string primitive_text(const TypeInfo& t, const void* v) {
       return std::to_string(*static_cast<const std::int64_t*>(v));
     case Kind::Double:
       return util::format_double(*static_cast<const double*>(v));
-    case Kind::String:
-      return *static_cast<const std::string*>(v);
-    case Kind::Bytes:
-      return util::base64_encode(
-          *static_cast<const std::vector<std::uint8_t>*>(v));
     default:
       throw ReflectionError("primitive_text on non-primitive");
+  }
+}
+
+/// A primitive value's content: strings escaped straight from the field,
+/// byte arrays as Base64 (which never needs escaping), numbers and
+/// booleans through primitive_text().
+void write_primitive(xml::Writer& w, const TypeInfo& t, const void* v) {
+  switch (t.kind) {
+    case Kind::String:
+      w.text(*static_cast<const std::string*>(v));
+      return;
+    case Kind::Bytes:
+      w.raw(util::base64_encode(
+          *static_cast<const std::vector<std::uint8_t>*>(v)));
+      return;
+    default:
+      w.text(primitive_text(t, v));
   }
 }
 
@@ -81,14 +93,9 @@ void write_value_impl(xml::Writer& w, const std::string& elem_name,
       }
       break;
     }
-    case Kind::Bytes:
-      if (typed) w.attribute("xsi:type", "xsd:base64Binary");
-      // Base64 output never needs XML escaping.
-      w.raw(primitive_text(t, value));
-      break;
     default:
       if (typed) w.attribute("xsi:type", wsdl::xsd_qname(t));
-      w.text(primitive_text(t, value));
+      write_primitive(w, t, value);
       break;
   }
   w.end_element();
@@ -158,12 +165,7 @@ class MultirefWriter {
     if (t.is_primitive()) {
       w_.start_element(elem_name);
       if (typed) w_.attribute("xsi:type", wsdl::xsd_qname(t));
-      if (t.kind == Kind::Bytes) {
-        w_.raw(util::base64_encode(
-            *static_cast<const std::vector<std::uint8_t>*>(value)));
-      } else {
-        w_.text(primitive_text_of(t, value));
-      }
+      write_primitive(w_, t, value);
       w_.end_element();
       return;
     }
@@ -206,10 +208,6 @@ class MultirefWriter {
   }
 
  private:
-  static std::string primitive_text_of(const TypeInfo& t, const void* v) {
-    return primitive_text(t, v);
-  }
-
   xml::Writer& w_;
   std::deque<MultirefJob> queue_;
   int next_id_ = 0;

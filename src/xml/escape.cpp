@@ -1,40 +1,71 @@
 #include "xml/escape.hpp"
 
-#include <cstdint>
-
 #include "util/error.hpp"
 
 namespace wsc::xml {
 
+namespace {
+
+/// Append `s` to `out`, replacing each character `reference_for` maps to a
+/// non-null reference.  The runs between replacements are appended whole.
+template <typename ReferenceFor>
+void append_escaped(std::string& out, std::string_view s,
+                    ReferenceFor reference_for) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char* ref = reference_for(s[i]);
+    if (!ref) continue;
+    out.append(s.data() + run, i - run);
+    out.append(ref);
+    run = i + 1;
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
+const char* text_reference(char c) {
+  switch (c) {
+    case '&': return "&amp;";
+    case '<': return "&lt;";
+    case '>': return "&gt;";
+    default: return nullptr;
+  }
+}
+
+const char* attribute_reference(char c) {
+  switch (c) {
+    case '"': return "&quot;";
+    case '\n': return "&#10;";
+    case '\t': return "&#9;";
+    case '\r': return "&#13;";
+    default: return text_reference(c);
+  }
+}
+
+[[noreturn]] void reference_error(const std::string& msg, std::size_t offset) {
+  throw ParseError("XML: " + msg, offset);
+}
+
+}  // namespace
+
+void append_escaped_text(std::string& out, std::string_view s) {
+  append_escaped(out, s, text_reference);
+}
+
+void append_escaped_attribute(std::string& out, std::string_view s) {
+  append_escaped(out, s, attribute_reference);
+}
+
 std::string escape_text(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      default: out.push_back(c);
-    }
-  }
+  append_escaped_text(out, s);
   return out;
 }
 
 std::string escape_attribute(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\n': out += "&#10;"; break;
-      case '\t': out += "&#9;"; break;
-      case '\r': out += "&#13;"; break;
-      default: out.push_back(c);
-    }
-  }
+  append_escaped_attribute(out, s);
   return out;
 }
 
@@ -58,45 +89,53 @@ void append_utf8(std::string& out, std::uint32_t cp) {
   }
 }
 
+std::size_t append_reference(std::string& out, std::string_view s,
+                             std::size_t i, std::size_t base) {
+  const std::size_t at = base + i;
+  auto end = s.find(';', i + 1);
+  if (end == std::string_view::npos)
+    reference_error("unterminated entity reference", at);
+  std::string_view name = s.substr(i + 1, end - i - 1);
+  if (name == "amp") out.push_back('&');
+  else if (name == "lt") out.push_back('<');
+  else if (name == "gt") out.push_back('>');
+  else if (name == "apos") out.push_back('\'');
+  else if (name == "quot") out.push_back('"');
+  else if (!name.empty() && name[0] == '#') {
+    std::uint32_t cp = 0;
+    bool hex = name.size() > 1 && (name[1] == 'x' || name[1] == 'X');
+    std::string_view digits = name.substr(hex ? 2 : 1);
+    if (digits.empty()) reference_error("empty character reference", at);
+    for (char d : digits) {
+      std::uint32_t v;
+      if (d >= '0' && d <= '9') v = static_cast<std::uint32_t>(d - '0');
+      else if (hex && d >= 'a' && d <= 'f') v = static_cast<std::uint32_t>(d - 'a' + 10);
+      else if (hex && d >= 'A' && d <= 'F') v = static_cast<std::uint32_t>(d - 'A' + 10);
+      else reference_error("bad digit in character reference", at);
+      cp = cp * (hex ? 16 : 10) + v;
+      if (cp > 0x10FFFF) reference_error("character reference out of range", at);
+    }
+    append_utf8(out, cp);
+  } else {
+    reference_error("unknown entity '&" + std::string(name) + ";'", at);
+  }
+  return end + 1;
+}
+
+void unescape_append(std::string& out, std::string_view s, std::size_t base) {
+  std::size_t run = 0;
+  for (std::size_t i = s.find('&'); i != std::string_view::npos;
+       i = s.find('&', run)) {
+    out.append(s.data() + run, i - run);
+    run = append_reference(out, s, i, base);
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
 std::string unescape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size();) {
-    char c = s[i];
-    if (c != '&') {
-      out.push_back(c);
-      ++i;
-      continue;
-    }
-    auto end = s.find(';', i + 1);
-    if (end == std::string_view::npos)
-      throw ParseError("unterminated entity reference", i);
-    std::string_view name = s.substr(i + 1, end - i - 1);
-    if (name == "amp") out.push_back('&');
-    else if (name == "lt") out.push_back('<');
-    else if (name == "gt") out.push_back('>');
-    else if (name == "apos") out.push_back('\'');
-    else if (name == "quot") out.push_back('"');
-    else if (!name.empty() && name[0] == '#') {
-      std::uint32_t cp = 0;
-      bool hex = name.size() > 1 && (name[1] == 'x' || name[1] == 'X');
-      std::string_view digits = name.substr(hex ? 2 : 1);
-      if (digits.empty()) throw ParseError("empty character reference", i);
-      for (char d : digits) {
-        std::uint32_t v;
-        if (d >= '0' && d <= '9') v = static_cast<std::uint32_t>(d - '0');
-        else if (hex && d >= 'a' && d <= 'f') v = static_cast<std::uint32_t>(d - 'a' + 10);
-        else if (hex && d >= 'A' && d <= 'F') v = static_cast<std::uint32_t>(d - 'A' + 10);
-        else throw ParseError("bad digit in character reference", i);
-        cp = cp * (hex ? 16 : 10) + v;
-        if (cp > 0x10FFFF) throw ParseError("character reference out of range", i);
-      }
-      append_utf8(out, cp);
-    } else {
-      throw ParseError("unknown entity '&" + std::string(name) + ";'", i);
-    }
-    i = end + 1;
-  }
+  unescape_append(out, s);
   return out;
 }
 

@@ -19,8 +19,8 @@ void Writer::close_start_tag() {
 Writer& Writer::start_element(std::string_view qname) {
   close_start_tag();
   out_.push_back('<');
+  open_.push_back({out_.size(), qname.size()});
   out_.append(qname);
-  open_.emplace_back(qname);
   tag_open_ = true;
   return *this;
 }
@@ -32,14 +32,14 @@ Writer& Writer::attribute(std::string_view name, std::string_view value) {
   out_.push_back(' ');
   out_.append(name);
   out_.append("=\"");
-  out_.append(escape_attribute(value));
+  append_escaped_attribute(out_, value);
   out_.push_back('"');
   return *this;
 }
 
 Writer& Writer::text(std::string_view s) {
   close_start_tag();
-  out_.append(escape_text(s));
+  append_escaped_text(out_, s);
   return *this;
 }
 
@@ -55,8 +55,12 @@ Writer& Writer::end_element() {
     out_.append("/>");
     tag_open_ = false;
   } else {
+    // The name is copied from earlier in out_: reserve first so the append
+    // cannot reallocate the bytes it reads.
+    const OpenElement e = open_.back();
+    out_.reserve(out_.size() + e.size + 3);
     out_.append("</");
-    out_.append(open_.back());
+    out_.append(out_.data() + e.offset, e.size);
     out_.push_back('>');
   }
   open_.pop_back();
@@ -71,7 +75,9 @@ Writer& Writer::text_element(std::string_view qname, std::string_view content) {
 
 std::string Writer::finish() {
   if (!open_.empty())
-    throw Error("Writer: finish() with <" + open_.back() + "> still open");
+    throw Error("Writer: finish() with <" +
+                out_.substr(open_.back().offset, open_.back().size) +
+                "> still open");
   return std::move(out_);
 }
 

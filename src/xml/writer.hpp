@@ -43,10 +43,16 @@ class Writer {
   std::size_t depth() const noexcept { return open_.size(); }
 
  private:
+  /// An open element's name, as the bytes start_element() wrote into out_.
+  struct OpenElement {
+    std::size_t offset;
+    std::size_t size;
+  };
+
   void close_start_tag();
 
   std::string out_;
-  std::vector<std::string> open_;
+  std::vector<OpenElement> open_;
   bool tag_open_ = false;  // '<name' emitted but '>' pending
 };
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "services/google/service.hpp"
 #include "tests/soap/test_service.hpp"
 #include "tests/support/dom.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace wsc::soap {
 namespace {
@@ -148,6 +150,86 @@ TEST(SerializerTest, RequestSizeRealisticForSpellingSuggestion) {
   std::size_t size = serialize_request(r).size();
   EXPECT_GT(size, 350u);
   EXPECT_LT(size, 900u);
+}
+
+// --- wire bytes ---------------------------------------------------------------
+//
+// The §5.1 messages, byte for byte: Tables 8 and 9 report their XML sizes,
+// so a writer or serializer change must not move a single byte.  Length
+// plus FNV-1a of each message, for the request and response parameters of
+// the benchmark fixture (bench/common.hpp).
+
+struct WireFingerprint {
+  std::size_t size;
+  std::uint64_t fnv1a;
+};
+
+void expect_wire(const std::string& message, WireFingerprint expected) {
+  EXPECT_EQ(message.size(), expected.size);
+  EXPECT_EQ(util::fnv1a(message), expected.fnv1a);
+}
+
+RpcRequest google_request(const char* operation,
+                          std::vector<Parameter> params) {
+  RpcRequest r;
+  r.endpoint = "http://api.google.com/search/beta2";
+  r.ns = "urn:GoogleSearch";
+  r.operation = operation;
+  r.params = std::move(params);
+  return r;
+}
+
+TEST(SerializerWireTest, GoogleRequestsAreByteIdentical) {
+  services::google::ensure_google_types();
+  const std::string key(32, '0');
+  auto str = [](const char* s) { return Object::make(std::string(s)); };
+  expect_wire(serialize_request(google_request(
+                  "doSpellingSuggestion",
+                  {{"key", Object::make(key)},
+                   {"phrase", str("web servies caching")}})),
+              {590, 0x0bded7b07a307f77ULL});
+  expect_wire(serialize_request(google_request(
+                  "doGetCachedPage",
+                  {{"key", Object::make(key)},
+                   {"url", str("http://www.example.com/index.html")}})),
+              {588, 0x76cbf573b0e81d45ULL});
+  expect_wire(serialize_request(google_request(
+                  "doGoogleSearch",
+                  {{"key", Object::make(key)},
+                   {"q", str("web services response caching")},
+                   {"start", Object::make(std::int32_t{0})},
+                   {"maxResults", Object::make(std::int32_t{10})},
+                   {"filter", Object::make(false)},
+                   {"restrict", str("")},
+                   {"safeSearch", Object::make(false)},
+                   {"lr", str("")},
+                   {"ie", str("latin1")},
+                   {"oe", str("latin1")}})),
+              {905, 0xfaee6b0a69fd4dd4ULL});
+}
+
+TEST(SerializerWireTest, GoogleResponsesAreByteIdentical) {
+  auto description = services::google::google_description();
+  services::google::GoogleBackend backend;
+  auto response = [&](const char* operation, Object result) {
+    return serialize_response(description->require_operation(operation),
+                              "urn:GoogleSearch", result);
+  };
+  Object spelling =
+      Object::make(backend.spelling_suggestion("web servies caching"));
+  Object page =
+      Object::make(backend.cached_page("http://www.example.com/index.html"));
+  Object search =
+      Object::make(backend.search("web services response caching", 0, 10));
+  expect_wire(response("doSpellingSuggestion", spelling),
+              {541, 0xe0e28bf7c26942d1ULL});
+  expect_wire(response("doGetCachedPage", page), {5318, 0x27ed618b5670526cULL});
+  // The 7959 B doGoogleSearch response of Tables 7 and 9.
+  expect_wire(response("doGoogleSearch", search), {7959, 0x70cd7bcd3278d21bULL});
+  expect_wire(serialize_response_multiref(
+                  description->require_operation("doGoogleSearch"),
+                  "urn:GoogleSearch", search),
+              {10807, 0x45e620b7cb99fbe8ULL});
 }
 
 }  // namespace

@@ -11,13 +11,15 @@
 #include <iterator>
 #include <new>
 
+#include "services/google/service.hpp"
+#include "soap/serializer.hpp"
 #include "tests/support/dom.hpp"
 #include "tests/xml/event_log.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 #include "xml/sax_parser.hpp"
 
-// ---- global allocation counter (for the zero-alloc replay assertion) --------
+// ---- global allocation counter (for the zero-alloc assertions) ---------------
 //
 // Replacing the global operator new/delete is binary-wide; the counter only
 // ticks while a test arms it, so the other suites in xml_tests are
@@ -164,25 +166,36 @@ TEST(CompactEventSequenceTest, InterningDeduplicatesNamesAndAttrLists) {
   EXPECT_EQ(seq.arena_bytes(), 100u);
 }
 
+/// Counts events and text bytes without allocating.
+struct CountingHandler : ContentHandler {
+  std::size_t events = 0;
+  std::size_t text_bytes = 0;
+  void start_document() override { ++events; }
+  void end_document() override { ++events; }
+  void start_element(const QName&, const Attributes& attrs) override {
+    events += 1 + attrs.size();
+  }
+  void end_element(const QName&) override { ++events; }
+  void characters(std::string_view text) override {
+    ++events;
+    text_bytes += text.size();
+  }
+};
+
+/// Heap allocations made by `fn`.
+template <typename Fn>
+std::size_t allocations_during(Fn&& fn) {
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  fn();
+  g_count_allocs.store(false);
+  return g_alloc_count.load();
+}
+
 TEST(CompactEventSequenceTest, ZeroAllocationsDuringReplay) {
   // The hit-path promise: deliver() performs no heap allocation per event —
   // it hands out interned references and arena views only.  The counting
   // handler itself is allocation-free.
-  struct CountingHandler : ContentHandler {
-    std::size_t events = 0;
-    std::size_t text_bytes = 0;
-    void start_document() override { ++events; }
-    void end_document() override { ++events; }
-    void start_element(const QName&, const Attributes& attrs) override {
-      events += 1 + attrs.size();
-    }
-    void end_element(const QName&) override { ++events; }
-    void characters(std::string_view text) override {
-      ++events;
-      text_bytes += text.size();
-    }
-  };
-
   std::string doc = "<r>";
   for (int i = 0; i < 200; ++i)
     doc += "<item k=\"v\">some payload text number " + std::to_string(i) +
@@ -191,14 +204,44 @@ TEST(CompactEventSequenceTest, ZeroAllocationsDuringReplay) {
   CompactEventSequence seq = record_compact(doc);
 
   CountingHandler handler;
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
-  seq.deliver(handler);
-  g_count_allocs.store(false);
-
-  EXPECT_EQ(g_alloc_count.load(), 0u);
+  EXPECT_EQ(allocations_during([&] { seq.deliver(handler); }), 0u);
   EXPECT_EQ(handler.events, seq.size() + 200 /* one attr per item */);
   EXPECT_GT(handler.text_bytes, 0u);
+}
+
+TEST(CompactEventSequenceTest, LiveParseAllocationsDoNotGrowWithResults) {
+  // The miss-path counterpart: the live parse of a doGoogleSearch response
+  // interns names and reuses its buffers, so what it allocates does not
+  // depend on the number of result elements.  Once the thread's parser has
+  // met the names and sizes, it allocates nothing at all.
+  auto description = services::google::google_description();
+  const wsdl::OperationInfo& op =
+      description->require_operation("doGoogleSearch");
+  std::vector<std::string> responses;
+  for (std::int32_t results : {1, 10, 50}) {
+    services::google::GoogleBackend::Config config;
+    config.results_per_page = results;
+    services::google::GoogleBackend backend(config);
+    responses.push_back(soap::serialize_response(
+        op, "urn:GoogleSearch",
+        reflect::Object::make(backend.search("scaling sweep", 0, results))));
+  }
+  CountingHandler warm;
+  for (const std::string& xml : responses) SaxParser{}.parse(xml, warm);
+
+  std::vector<std::size_t> allocations;
+  std::vector<std::size_t> events;
+  for (const std::string& xml : responses) {
+    CountingHandler handler;
+    allocations.push_back(
+        allocations_during([&] { SaxParser{}.parse(xml, handler); }));
+    events.push_back(handler.events);
+  }
+  EXPECT_LT(events[0], events[1]);
+  EXPECT_LT(events[1], events[2]);
+  EXPECT_EQ(allocations[0], allocations[1]);
+  EXPECT_EQ(allocations[1], allocations[2]);
+  EXPECT_EQ(allocations[2], 0u);
 }
 
 TEST(CompactEventSequenceTest, EmptySequence) {

@@ -1,5 +1,7 @@
 #include "http/message.hpp"
 
+#include <charconv>
+
 #include "util/strings.hpp"
 
 namespace wsc::http {
@@ -27,29 +29,49 @@ std::optional<std::string_view> Headers::get(std::string_view name) const {
 
 namespace {
 
-void append_headers(std::string& out, const Headers& headers,
-                    std::size_t body_size, bool has_content_length) {
-  for (const auto& [n, v] : headers.all()) out += n + ": " + v + "\r\n";
-  if (!has_content_length)
-    out += "Content-Length: " + std::to_string(body_size) + "\r\n";
-  out += "\r\n";
+constexpr std::string_view kContentLength = "Content-Length";
+
+// The decimal digits of `v`, written into `buf`.
+template <class T>
+std::string_view decimal(char (&buf)[24], T v) {
+  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  return {buf, static_cast<std::size_t>(end - buf)};
+}
+
+// "<a> <b> <c>\r\n", the headers, Content-Length unless one is set, a
+// blank line and the body: sized first, then appended into one buffer.
+std::string serialize(std::string_view a, std::string_view b,
+                      std::string_view c, const Headers& headers,
+                      std::string_view body) {
+  char digits[24];
+  std::string_view length;  // the added Content-Length value, if any
+  if (!headers.contains(kContentLength)) length = decimal(digits, body.size());
+  std::size_t size = a.size() + b.size() + c.size() + 4 + 2 + body.size();
+  for (const auto& [n, v] : headers.all()) size += n.size() + v.size() + 4;
+  if (!length.empty()) size += kContentLength.size() + length.size() + 4;
+
+  std::string out;
+  out.reserve(size);
+  out.append(a).append(" ").append(b).append(" ").append(c).append("\r\n");
+  for (const auto& [n, v] : headers.all())
+    out.append(n).append(": ").append(v).append("\r\n");
+  if (!length.empty())
+    out.append(kContentLength).append(": ").append(length).append("\r\n");
+  out.append("\r\n").append(body);
+  return out;
 }
 
 }  // namespace
 
 std::string Request::to_bytes() const {
-  std::string out = method + " " + target + " HTTP/1.1\r\n";
-  append_headers(out, headers, body.size(), headers.contains("Content-Length"));
-  out += body;
-  return out;
+  return serialize(method, target, "HTTP/1.1", headers, body);
 }
 
 std::string Response::to_bytes() const {
-  std::string phrase = reason.empty() ? std::string(reason_phrase(status)) : reason;
-  std::string out = "HTTP/1.1 " + std::to_string(status) + " " + phrase + "\r\n";
-  append_headers(out, headers, body.size(), headers.contains("Content-Length"));
-  out += body;
-  return out;
+  char digits[24];
+  return serialize("HTTP/1.1", decimal(digits, status),
+                   reason.empty() ? reason_phrase(status) : reason, headers,
+                   body);
 }
 
 std::string_view reason_phrase(int status) {

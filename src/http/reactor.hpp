@@ -1,21 +1,22 @@
-// Nonblocking epoll reactor behind HttpServer's Reactor mode.
+// Nonblocking epoll reactor behind HttpServer's Reactor mode:
+// leader/followers over one epoll set (DESIGN.md §12).
 //
-// Architecture (DESIGN.md §12):
+//   listener      ──(one-shot)──┐
+//   connections   ──(one-shot)──┤
+//   reap timerfd  ──(one-shot)──┼──▶ epoll set ──▶ worker_threads threads,
+//   stop eventfd  ──(level)─────┘                  one event per epoll_wait
 //
-//   accept --pacing--> [event loop] --parsed Request--> worker pool
-//                        |   ^                              |
-//                        v   | completions (mailbox+eventfd)|
-//                   connection FSM  <------------------------
-//
-// One event loop thread owns the listener and every accepted socket; all
-// connection state (parser, buffers, idle-list links) is touched only by
-// that thread.  Workers receive the parsed Request by value and hand the
-// serialized response bytes back through the mailbox, so no socket or
-// epoll call ever happens off-loop.  Backpressure: the listener is
-// unregistered from epoll while the active-connection or dispatch caps
-// are exceeded (accept pacing — the kernel backlog absorbs the burst); a
-// connection stops reading while its one response is in flight, and the
-// idle reaper closes a peer that stops reading mid-response.
+// The thread an event wakes owns that descriptor until it re-arms it: it
+// accepts a batch, or reaps idle connections, or reads, parses, runs the
+// handler and writes the response itself.  Nothing is handed to another
+// thread.  A connection is claimed by CAS Idle → Busy under the map lock
+// and parked again by re-arming it, then releasing Busy → Idle under the
+// lock (a wake-up in between is handed back to the owner); the idle
+// reaper claims Idle → Closing under the same lock, so a connection is
+// served or reaped, never both.  Backpressure: the listener stays
+// disarmed while max_connections are open (accept pacing), a connection
+// stops reading while its one response is being written, and the idle
+// reaper closes a peer that stops reading mid-response.
 #pragma once
 
 #include <atomic>
@@ -27,10 +28,6 @@
 #include <vector>
 
 #include "http/server.hpp"
-
-namespace wsc::util {
-class ThreadPool;
-}
 
 namespace wsc::http {
 
@@ -50,64 +47,49 @@ class EpollReactor {
 
  private:
   struct Conn;
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::string bytes;
-    bool close_after = false;
-  };
 
-  void loop_main();
-  void process_mailbox();
+  void worker_main();
   void accept_batch();
   void pause_accepting();
   void maybe_resume_accepting();
-  bool over_pressure() const;
+  void rearm(int fd, std::uint64_t id, std::uint32_t events);
 
-  Conn* find_conn(std::uint64_t id);
   void add_conn(TcpStream stream);
-  void close_conn(Conn& conn, bool reaped_idle = false);
-  /// All return false when they closed the connection.
-  bool handle_readable(Conn& conn);
-  bool on_request(Conn& conn);
-  bool apply_completion(Conn& conn, std::string bytes, bool close_after);
-  bool flush(Conn& conn);
-  bool respond_direct(Conn& conn, int status, const std::string& body);
-  void update_interest(Conn& conn, bool want_read, bool want_write);
+  Conn* claim(std::uint64_t id);
+  void serve(Conn& conn);
+  std::uint32_t advance(Conn& conn, std::uint64_t& now);
+  void respond(Conn& conn);
+  void reject(Conn& conn, int status, const char* body);
+  bool park(Conn& conn, std::uint32_t events, std::uint64_t now);
+  void close_conn(Conn& conn);
+  void reap_idle();
 
-  void idle_touch(Conn& conn);
+  // Callers hold mu_.
+  void idle_link(Conn& conn, std::uint64_t now);
   void idle_unlink(Conn& conn);
-  void reap_idle(std::uint64_t now_ns);
-
-  void post_completion(Completion completion);
-  void wake();
+  void arm_reap_timer();
 
   ServerOptions options_;
   Handler handler_;
   ServerStats& stats_;
   TcpListener listener_;
-  /// Accept pacing also pauses while more requests than this are queued
-  /// or running in the pool (64 x worker threads).
-  std::size_t dispatch_cap_ = 0;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};  // stop() entered: close after reply
+  std::atomic<bool> accept_paused_{false};
 
-  // Loop-thread state.
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  std::thread thread_;
+  int stop_fd_ = -1;
+  int timer_fd_ = -1;
+
+  // The connection map and the idle list (oldest deadline first).
+  std::mutex mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-  Conn* idle_head_ = nullptr;  // oldest deadline first
+  Conn* idle_head_ = nullptr;
   Conn* idle_tail_ = nullptr;
-  bool accept_paused_ = false;
   std::uint64_t next_conn_id_ = 16;
 
-  // Mailbox: the only cross-thread surface (workers -> loop).
-  std::mutex mail_mu_;
-  std::vector<Completion> completions_;
-
-  // Handler pool, started by start() and drained by stop().
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace wsc::http

@@ -119,9 +119,12 @@ void HttpServer::unregister_connection(TcpStream& stream) {
 }
 
 Response run_handler(const Handler& handler, const Request& request,
-                     bool keep_alive, ServerStats& stats) {
+                     bool keep_alive, ServerStats& stats,
+                     std::uint64_t& started_ns) {
   Response response;
   std::string error;
+  stats.dispatch_depth.fetch_add(1, std::memory_order_relaxed);
+  started_ns = server_now_ns();
   try {
     response = handler(request);
   } catch (const std::exception& e) {
@@ -129,6 +132,9 @@ Response run_handler(const Handler& handler, const Request& request,
   } catch (...) {
     error = "internal error";
   }
+  stats.handler_ns.fetch_add(server_now_ns() - started_ns,
+                             std::memory_order_relaxed);
+  stats.dispatch_depth.fetch_sub(1, std::memory_order_relaxed);
   if (!error.empty()) {
     stats.handler_errors.fetch_add(1, std::memory_order_relaxed);
     response = Response{};
@@ -208,9 +214,12 @@ void HttpServer::serve_connection(TcpStream stream, std::uint64_t worker_id) {
       Request request = parser.take();
       stats_.requests.fetch_add(1, std::memory_order_relaxed);
       const bool keep = request_keep_alive(request);
+      std::uint64_t started_ns = 0;
       const std::string bytes =
-          run_handler(handler_, request, keep, stats_).to_bytes();
+          run_handler(handler_, request, keep, stats_, started_ns).to_bytes();
       stream.write_all(bytes);
+      stats_.request_ns.fetch_add(server_now_ns() - started_ns,
+                                  std::memory_order_relaxed);
       stats_.bytes_out.fetch_add(bytes.size(), std::memory_order_relaxed);
       stats_.responses.fetch_add(1, std::memory_order_relaxed);
       if (!keep) return;

@@ -4,14 +4,15 @@
 //    acceptor thread hands each connection to a worker thread that serves
 //    requests until the peer disconnects.  Finished worker handles are
 //    reaped as the server runs (they used to accumulate forever).
-//  * Reactor — one nonblocking epoll event loop owning every accepted
-//    socket: per-connection state machines drive the incremental
-//    RequestParser, parsed requests dispatch to a worker pool, responses
-//    stream back with EPOLLOUT re-arming, and idle keep-alive connections
-//    (or readers stalled mid-response) are reaped on a deadline.
-//    Backpressure is accept pacing plus one response in flight per
-//    connection.  This is the mode that holds 10k concurrent connections
-//    cheaply.
+//  * Reactor — leader/followers over one nonblocking epoll set:
+//    `worker_threads` threads wait on it, and the thread an event wakes
+//    owns that connection until it parks it again.  It drives the
+//    incremental RequestParser, runs the handler inline and writes the
+//    response (a partial write waits for EPOLLOUT); idle keep-alive
+//    connections (or readers stalled mid-response) are reaped on a
+//    deadline.  Backpressure is accept pacing plus one response in flight
+//    per connection.  This is the mode that holds 10k concurrent
+//    connections cheaply.
 //
 // `Handler` is invoked once per request through run_handler(), in both
 // modes; exceptions map to 500 responses so a buggy service cannot wedge a
@@ -56,15 +57,20 @@ struct ServerOptions {
   /// resume below 90% (accept pacing backpressure).
   std::size_t max_connections = 16 * 1024;
 
-  /// Reactor: handler threads.  0 = 2 x hardware_concurrency (the handler
-  /// is synchronous and may block on backend SOAP calls).
+  /// Reactor: threads that wait in epoll_wait and run handlers inline.
+  /// 0 = 2 x hardware_concurrency (the handler is synchronous and may
+  /// block on backend SOAP calls, holding its thread).
   std::size_t worker_threads = 0;
 };
 
 /// Runs `handler` on `request` for either mode: a throw becomes a 500 and
 /// counts handler_errors, and the Connection header echoes `keep_alive`.
+/// Counts the handler in dispatch_depth while it runs and adds its wall
+/// time to handler_ns; `started_ns` receives the server_now_ns() reading
+/// taken as it started, where the caller's request_ns span begins.
 Response run_handler(const Handler& handler, const Request& request,
-                     bool keep_alive, ServerStats& stats);
+                     bool keep_alive, ServerStats& stats,
+                     std::uint64_t& started_ns);
 
 class HttpServer {
  public:

@@ -2,11 +2,14 @@
 // and reactor).  Plain relaxed atomics, readable from any thread, each
 // declared once in kServerFields; the portal bridges them into its
 // MetricsRegistry (wsc_server_* families) and the /stats document via
-// PortalSite::attach_server().
+// PortalSite::attach_server().  handler_ns and request_ns split a
+// request's server time: request_ns - handler_ns is what the server
+// itself adds (serializing and writing the response).
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -29,6 +32,8 @@ struct ServerStats {
   std::atomic<std::uint64_t> workers_reaped{0};
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
+  std::atomic<std::uint64_t> handler_ns{0};
+  std::atomic<std::uint64_t> request_ns{0};
   std::atomic<std::uint64_t> connections_active{0};
   std::atomic<std::uint64_t> connections_idle{0};
   std::atomic<std::uint64_t> dispatch_depth{0};
@@ -68,12 +73,27 @@ inline constexpr auto kServerFields =
      obs::kCounter, &ServerStats::workers_reaped},
     {"worker_threads", "Live handler threads.", obs::kGauge,
      &ServerStats::worker_threads},
-    {"dispatch_depth", "Requests queued or running in the handler pool.",
-     obs::kGauge, &ServerStats::dispatch_depth},
+    {"dispatch_depth", "Requests whose handler is running.", obs::kGauge,
+     &ServerStats::dispatch_depth},
     {"bytes_in", "Request bytes read.", obs::kCounter, &ServerStats::bytes_in},
     {"bytes_out", "Response bytes written.", obs::kCounter,
      &ServerStats::bytes_out},
+    {"handler_ns", "Wall time inside request handlers, in nanoseconds.",
+     obs::kCounter, &ServerStats::handler_ns},
+    {"request_ns",
+     "Time from each handler's start to its response's last byte accepted "
+     "by the kernel, in nanoseconds.",
+     obs::kCounter, &ServerStats::request_ns},
 });
+
+/// The clock behind handler_ns, request_ns and the reactor's idle
+/// deadlines: steady_clock (CLOCK_MONOTONIC), in nanoseconds.
+inline std::uint64_t server_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Prefix of the server's Prometheus families.
 inline constexpr std::string_view kServerMetricPrefix = "wsc_server_";

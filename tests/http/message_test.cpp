@@ -46,6 +46,80 @@ TEST(RequestTest, ExplicitContentLengthNotDuplicated) {
   EXPECT_EQ(bytes.find("Content-Length"), bytes.rfind("Content-Length"));
 }
 
+// to_bytes() is pinned byte for byte, with and without a Content-Length
+// header of the caller's.
+TEST(RequestTest, ToBytesPinnedWithoutContentLength) {
+  Request r;
+  r.method = "POST";
+  r.target = "/soap/google";
+  r.headers.set("Host", "127.0.0.1:8080");
+  r.headers.set("Content-Type", "text/xml; charset=utf-8");
+  r.headers.set("SOAPAction", "\"urn:GoogleSearchAction\"");
+  r.body = "<x/>";
+  EXPECT_EQ(r.to_bytes(),
+            "POST /soap/google HTTP/1.1\r\n"
+            "Host: 127.0.0.1:8080\r\n"
+            "Content-Type: text/xml; charset=utf-8\r\n"
+            "SOAPAction: \"urn:GoogleSearchAction\"\r\n"
+            "Content-Length: 4\r\n"
+            "\r\n"
+            "<x/>");
+  EXPECT_EQ(Request{}.to_bytes(),
+            "GET / HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+}
+
+TEST(RequestTest, ToBytesPinnedWithContentLength) {
+  Request r;
+  r.method = "PUT";
+  r.target = "/a?b=c";
+  r.headers.set("Host", "h");
+  r.headers.set("content-length", "3");
+  r.headers.add("X-Tag", "1");
+  r.body = "abc";
+  EXPECT_EQ(r.to_bytes(),
+            "PUT /a?b=c HTTP/1.1\r\n"
+            "Host: h\r\n"
+            "content-length: 3\r\n"
+            "X-Tag: 1\r\n"
+            "\r\n"
+            "abc");
+}
+
+TEST(ResponseTest, ToBytesPinnedWithoutContentLength) {
+  Response r;
+  r.headers.set("Content-Type", "text/html");
+  r.headers.set("Connection", "keep-alive");
+  r.body = "<p>hi</p>";
+  EXPECT_EQ(r.to_bytes(),
+            "HTTP/1.1 200 OK\r\n"
+            "Content-Type: text/html\r\n"
+            "Connection: keep-alive\r\n"
+            "Content-Length: 9\r\n"
+            "\r\n"
+            "<p>hi</p>");
+}
+
+TEST(ResponseTest, ToBytesPinnedWithContentLength) {
+  Response r;
+  r.status = 503;
+  r.headers.set("Content-Length", "0");
+  r.headers.set("Retry-After", "1");
+  EXPECT_EQ(r.to_bytes(),
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Length: 0\r\n"
+            "Retry-After: 1\r\n"
+            "\r\n");
+  r.status = 299;
+  r.reason = "Fine";
+  r.body = "xy";
+  EXPECT_EQ(r.to_bytes(),
+            "HTTP/1.1 299 Fine\r\n"
+            "Content-Length: 0\r\n"
+            "Retry-After: 1\r\n"
+            "\r\n"
+            "xy");
+}
+
 TEST(ResponseTest, ToBytesUsesStandardReason) {
   Response r;
   r.status = 404;

@@ -224,6 +224,26 @@ TEST_P(ServerProtocolTest, LargeResponseReachesAFastReader) {
   server.stop();
 }
 
+// handler_ns covers the handler; request_ns runs from the handler's start
+// to the response's last byte written, so it contains handler_ns.
+TEST_P(ServerProtocolTest, StageCountersSpanTheHandlerAndTheWrite) {
+  Handler slow = [](const Request&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Response r;
+    r.body = "slow";
+    return r;
+  };
+  HttpServer server(0, slow, options());
+  server.start();
+  HttpConnection conn("127.0.0.1", server.port());
+  EXPECT_EQ(conn.round_trip(Request{}).body, "slow");
+  server.stop();  // joins the thread that recorded the write
+  const ServerStats& stats = server.stats();
+  EXPECT_GE(stats.handler_ns.load(), 20'000'000u);
+  EXPECT_GE(stats.request_ns.load(), stats.handler_ns.load());
+  EXPECT_EQ(stats.dispatch_depth.load(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, ServerProtocolTest,
     ::testing::Values(ServerOptions::Mode::Threaded,

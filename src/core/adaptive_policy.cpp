@@ -12,6 +12,21 @@ namespace wsc::cache {
 
 namespace {
 
+/// EWMA smoothing for per-epoch score inputs (1 = latest epoch only).
+constexpr double kEwmaAlpha = 0.4;
+/// A challenger must beat the incumbent's score by this fraction to take
+/// over (hysteresis against measurement noise flapping).
+constexpr double kMinImprovement = 0.05;
+/// Memory-pressure watermarks, as fractions of the byte budget: above the
+/// high one the objective becomes Bytes until bytes drop below the low one.
+constexpr double kHighWatermark = 0.90;
+constexpr double kLowWatermark = 0.70;
+
+/// Fold one epoch's mean into an EWMA; the first epoch seeds it.
+double fold(double ewma, double epoch, bool seeded) {
+  return seeded ? kEwmaAlpha * epoch + (1 - kEwmaAlpha) * ewma : epoch;
+}
+
 /// FNV-1a: deterministic across platforms (std::hash is not guaranteed
 /// to be), so one Config::seed reproduces per-operation sample streams
 /// everywhere.
@@ -62,8 +77,7 @@ AdaptivePolicy::AdaptivePolicy(std::shared_ptr<obs::CostProfiles> profiles,
                                Config config, const util::Clock& clock)
     : config_(config),
       profiles_(std::move(profiles)),
-      clock_(&clock),
-      budget_bytes_(config.budget_bytes) {}
+      clock_(&clock) {}
 
 void AdaptivePolicy::bind_cache(std::shared_ptr<const ResponseCache> cache) {
   if (!cache) return;
@@ -177,10 +191,7 @@ void AdaptivePolicy::refresh_models_locked() {
     const std::uint64_t dhs = row.hit_ns.sum_ns - m.last_hit_sum;
     if (dhc > 0) {
       const double epoch = static_cast<double>(dhs) / static_cast<double>(dhc);
-      m.hit_ewma = m.last_hit_count
-                       ? config_.ewma_alpha * epoch +
-                             (1 - config_.ewma_alpha) * m.hit_ewma
-                       : epoch;
+      m.hit_ewma = fold(m.hit_ewma, epoch, m.last_hit_count > 0);
     }
     m.last_hit_count = row.hit_ns.count;
     m.last_hit_sum = row.hit_ns.sum_ns;
@@ -190,10 +201,7 @@ void AdaptivePolicy::refresh_models_locked() {
     const std::uint64_t dss = row.store_ns.sum_ns - m.last_store_sum;
     if (dsc > 0) {
       const double epoch = static_cast<double>(dss) / static_cast<double>(dsc);
-      m.store_ewma = m.last_store_count
-                         ? config_.ewma_alpha * epoch +
-                               (1 - config_.ewma_alpha) * m.store_ewma
-                         : epoch;
+      m.store_ewma = fold(m.store_ewma, epoch, m.last_store_count > 0);
     }
     m.last_store_count = row.store_ns.count;
     m.last_store_sum = row.store_ns.sum_ns;
@@ -202,10 +210,7 @@ void AdaptivePolicy::refresh_models_locked() {
     const std::uint64_t dby = row.bytes_sum - m.last_bytes;
     if (dec > 0) {
       const double epoch = static_cast<double>(dby) / static_cast<double>(dec);
-      m.bytes_ewma = m.last_entries
-                         ? config_.ewma_alpha * epoch +
-                               (1 - config_.ewma_alpha) * m.bytes_ewma
-                         : epoch;
+      m.bytes_ewma = fold(m.bytes_ewma, epoch, m.last_entries > 0);
     }
     m.last_entries = row.stored_entries;
     m.last_bytes = row.bytes_sum;
@@ -233,11 +238,7 @@ void AdaptivePolicy::refresh_models_locked() {
     if (dh + dm > 0) {
       const double epoch =
           static_cast<double>(dm) / static_cast<double>(dh + dm);
-      op.miss_ratio_ewma = op.miss_ratio_seen
-                               ? config_.ewma_alpha * epoch +
-                                     (1 - config_.ewma_alpha) *
-                                         op.miss_ratio_ewma
-                               : epoch;
+      op.miss_ratio_ewma = fold(op.miss_ratio_ewma, epoch, op.miss_ratio_seen);
       op.miss_ratio_seen = true;
     }
     op.last_hits = t.first;
@@ -249,7 +250,7 @@ void AdaptivePolicy::update_pressure_locked() {
   if (!bytes_fn_ || budget_bytes_ == 0) return;
   const double bytes = static_cast<double>(bytes_fn_());
   const double budget = static_cast<double>(budget_bytes_);
-  if (!pressure_flag_ && bytes > config_.high_watermark * budget) {
+  if (!pressure_flag_ && bytes > kHighWatermark * budget) {
     pressure_flag_ = true;
     pressure_.store(true, std::memory_order_relaxed);
     pressure_transitions_.fetch_add(1, std::memory_order_relaxed);
@@ -257,7 +258,7 @@ void AdaptivePolicy::update_pressure_locked() {
         obs::EventKind::MemoryPressure, "adaptive",
         "cache bytes over high watermark; objective forced to bytes",
         static_cast<std::uint64_t>(bytes));
-  } else if (pressure_flag_ && bytes < config_.low_watermark * budget) {
+  } else if (pressure_flag_ && bytes < kLowWatermark * budget) {
     pressure_flag_ = false;
     pressure_.store(false, std::memory_order_relaxed);
     pressure_transitions_.fetch_add(1, std::memory_order_relaxed);
@@ -316,7 +317,7 @@ void AdaptivePolicy::decide_locked() {
       }
     }
     if (best != op.current &&
-        best_score < op.current_score * (1 - config_.min_improvement)) {
+        best_score < op.current_score * (1 - kMinImprovement)) {
       const Representation from = op.current;
       op.current = best;
       op.switches += 1;

@@ -81,21 +81,9 @@ class AdaptivePolicy {
     /// How often (per operation, on its store path) scores are
     /// re-evaluated and switches considered.
     std::chrono::milliseconds decision_interval{1000};
-    /// EWMA smoothing for per-epoch score inputs (1 = latest epoch only).
-    double ewma_alpha = 0.4;
-    /// A challenger must beat the incumbent's score by this fraction to
-    /// take over (hysteresis against measurement noise flapping).
-    double min_improvement = 0.05;
     /// A representation needs at least this many hit-latency samples
     /// before it can be scored at all.
     std::uint64_t min_samples = 3;
-    /// Memory-pressure watermarks: while cache bytes > high * budget the
-    /// effective objective becomes Bytes; it reverts only after bytes
-    /// drop below low * budget (hysteresis).  budget_bytes = 0 disables
-    /// unless bind_cache()/set_bytes_signal() supplies a budget.
-    std::size_t budget_bytes = 0;
-    double high_watermark = 0.90;
-    double low_watermark = 0.70;
   };
 
   /// One store-path consultation: serve with `representation`; if
@@ -110,7 +98,9 @@ class AdaptivePolicy {
                  const util::Clock& clock = util::steady_clock());
 
   /// Wire the memory-pressure signal to a cache's live footprint and
-  /// configured byte budget.  First call wins; later calls are no-ops.
+  /// configured byte budget: while cache bytes exceed 90% of the budget
+  /// the effective objective becomes Bytes, reverting only below 70%
+  /// (hysteresis).  First call wins; later calls are no-ops.
   void bind_cache(std::shared_ptr<const ResponseCache> cache);
   /// Or supply an arbitrary bytes signal (tests): `bytes_fn` is polled
   /// at each decision tick against `budget_bytes`.
@@ -193,7 +183,7 @@ class AdaptivePolicy {
  private:
   /// Per-representation EWMA model.  Score inputs are epoch deltas of
   /// the CostProfiles lifetime sums: each decide pass computes the
-  /// since-last-pass mean and folds it in with ewma_alpha, so one noisy
+  /// since-last-pass mean and folds it into an EWMA, so one noisy
   /// window cannot flip a converged choice.
   struct RepModel {
     bool seen = false;

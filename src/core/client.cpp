@@ -33,6 +33,16 @@ reflect::Object serve(obs::CallTrace& trace, const CachedValue& value,
   return value.retrieve();
 }
 
+/// This thread's profile sampling tick: every `period`-th cacheable call
+/// times its hit for the cost profile, weighing `period` calls; 0 = not
+/// sampled.
+std::uint64_t hit_sample_weight(std::uint32_t period) {
+  thread_local std::uint32_t tick = 0;
+  if (++tick < period) return 0;
+  tick = 0;
+  return period ? period : 1;
+}
+
 /// Whether a failed call is an availability failure that a stale-if-error
 /// grace may absorb.  A SoapFault (or any other error) is the origin's
 /// answer, not its absence.
@@ -187,7 +197,8 @@ reflect::Object CachingServiceClient::invoke(
                 std::to_string(op.params.size()) + " parameters, got " +
                 std::to_string(params.size()));
 
-  // Inactive (a branch on a relaxed load) unless obs::tracer() is enabled.
+  // Timed from here only when obs::tracer() is enabled (a branch on a
+  // relaxed load); the sampling decision below may time the rest.
   obs::CallTrace trace(description_->name(), operation);
 
   soap::RpcRequest request = build_request(operation, std::move(params));
@@ -199,21 +210,14 @@ reflect::Object CachingServiceClient::invoke(
     return remote_call(trace, request, op, /*record_events=*/false).object;
   }
 
-  // Cost-profile hit sampling: every profile_sample_every-th cacheable
-  // call per thread takes a timestamp BEFORE keygen, so a sampled hit's
-  // recorded latency covers keygen + lookup + retrieve — the full Table 7
-  // hit cost.  Unsampled hits pay one thread_local increment and branch.
+  // The one sampling decision.  A call the tracer publishes is timed from
+  // the start.  Otherwise a hit is timed only on the profile tick, from its
+  // Retrieve stage on (the one representation-dependent part, Table 7),
+  // and a call that leaves the hit path is timed whenever profiles or the
+  // slow-call watchdog want it.  Unsampled hits read no clock.
   obs::CostProfiles* const profiles = options_.profiles.get();
-  bool profile_hit_sample = false;
-  std::uint64_t hit_t0 = 0;
-  if (profiles) [[unlikely]] {
-    thread_local std::uint32_t profile_tick = 0;
-    if (++profile_tick >= options_.profile_sample_every) {
-      profile_tick = 0;
-      profile_hit_sample = true;
-      hit_t0 = obs::now_ns();
-    }
-  }
+  const std::uint64_t hit_weight =
+      profiles ? hit_sample_weight(options_.profile_sample_every) : 0;
 
   // Zero-allocation keygen fast path: the key material is built into a
   // per-thread reusable scratch (no owned CacheKey, no heap traffic once
@@ -245,12 +249,9 @@ reflect::Object CachingServiceClient::invoke(
                                              : ResponseCache::Lookup::Fresh);
   }();
   if (found.fresh) {
+    if (hit_weight) [[unlikely]]
+      trace.sample_into(profiles, hit_weight);
     reflect::Object object = serve(trace, *found.value, obs::Outcome::Hit);
-    if (profile_hit_sample) [[unlikely]]
-      profiles->record_hit(
-          description_->name(), operation,
-          representation_name(found.value->representation()),
-          obs::now_ns() - hit_t0, options_.profile_sample_every);
     if (found.refresh_ahead) {
       // This hit won the entry's one-shot soft-TTL claim: renew the entry
       // in the background before it ever expires.  If scheduling fails
@@ -264,6 +265,9 @@ reflect::Object CachingServiceClient::invoke(
     }
     return object;
   }
+  // Off the hit path: time the rest for the profile and the watchdog.
+  if (profiles || options_.slow_call_threshold_ns)
+    trace.sample_into(profiles, 1);
   // Only a Stale lookup exposes an expired entry.
   const bool had_stale_entry = found.value != nullptr;
   std::optional<std::chrono::seconds> revalidate_since;
@@ -276,10 +280,6 @@ reflect::Object CachingServiceClient::invoke(
         found.staleness <= policy.staleness.stale_while_revalidate &&
         schedule_refresh(request, op, policy, scratch.to_key())) {
       cache_->counters().add(&StatsSnapshot::stale_while_revalidate_served);
-      if (profiles) [[unlikely]]
-        profiles->record_stale(
-            description_->name(), operation,
-            representation_name(found.value->representation()));
       return serve(trace, *found.value, obs::Outcome::StaleRevalidate);
     }
     if (policy.revalidate) revalidate_since = found.last_modified;
@@ -346,14 +346,10 @@ reflect::Object CachingServiceClient::invoke(
     guard.emplace(*cache_, std::move(flight));
   }
 
-  const std::uint64_t miss_t0 =
-      options_.slow_call_threshold_ns ? obs::now_ns() : 0;
-
   Fetched fetched;
   try {
     fetched = fetch_and_store(trace, request, op, policy, key, resolved,
-                              revalidate_since, guard ? &*guard : nullptr,
-                              /*count_miss=*/true);
+                              revalidate_since, guard ? &*guard : nullptr);
   } catch (...) {
     // Broadcast the failure BEFORE degrading locally: followers wake with
     // the one error and make their own stale-if-error decisions.
@@ -369,10 +365,11 @@ reflect::Object CachingServiceClient::invoke(
     cache_->counters().add(&StatsSnapshot::hits);
     return serve(trace, *fetched.value, obs::Outcome::Revalidated);
   }
+  trace.set_outcome(obs::Outcome::Miss);
   if (had_stale_entry)
     cache_->counters().add(&StatsSnapshot::misses);  // stale + changed
   if (options_.slow_call_threshold_ns) [[unlikely]] {
-    const std::uint64_t elapsed = obs::now_ns() - miss_t0;
+    const std::uint64_t elapsed = trace.elapsed_ns();
     if (elapsed > options_.slow_call_threshold_ns)
       obs::event_log().emit(obs::EventKind::SlowCall,
                             description_->name() + "." + operation,
@@ -385,8 +382,7 @@ CachingServiceClient::Fetched CachingServiceClient::fetch_and_store(
     obs::CallTrace& trace, const soap::RpcRequest& request,
     const wsdl::OperationInfo& op, const OperationPolicy& policy,
     const CacheKey& key, const ResolvedRepresentation& resolved,
-    std::optional<std::chrono::seconds> since, FlightGuard* guard,
-    bool count_miss) {
+    std::optional<std::chrono::seconds> since, FlightGuard* guard) {
   const std::string& operation = request.operation;
   const Representation rep = resolved.representation;
   const bool record_events = rep == Representation::SaxEvents;
@@ -404,12 +400,8 @@ CachingServiceClient::Fetched CachingServiceClient::fetch_and_store(
     // The entry was evicted while we revalidated: refetch unconditionally.
     result = remote_call(trace, request, op, record_events);
   }
-  trace.set_outcome(obs::Outcome::Miss);
 
-  obs::CostProfiles* const profiles = options_.profiles.get();
   std::shared_ptr<const CachedValue> value;
-  std::uint64_t store_ns = 0;
-  std::uint64_t entry_bytes = 0;
   if (std::optional<std::chrono::milliseconds> ttl =
           options_.policy.effective_ttl(policy, result.directives)) {
     obs::StageTimer timer(trace, obs::Stage::Store);
@@ -418,16 +410,9 @@ CachingServiceClient::Fetched CachingServiceClient::fetch_and_store(
     capture.events = &result.events;
     capture.object = result.object;
     capture.op = share_op(op);
-    // Store cost for the profile = representation capture + cache insert
-    // (the Table 8 store-side cost of the chosen representation).
-    const std::uint64_t store_t0 = profiles ? obs::now_ns() : 0;
     value = make_cached_value(rep, capture);
     cache_->store(key, value, *ttl, result.last_modified,
                   soft_ttl_for(policy));
-    if (profiles) {
-      store_ns = obs::now_ns() - store_t0;
-      entry_bytes = key.memory_size() + value->memory_size();
-    }
   } else {
     util::log(util::LogLevel::Debug, "server directives suppressed caching of ",
               operation);
@@ -436,18 +421,8 @@ CachingServiceClient::Fetched CachingServiceClient::fetch_and_store(
   // retrieve() directly, no second lookup, no window to miss in.  A null
   // value (nothing stored) wakes them with NoValue to call on their own.
   if (guard) guard->complete(value);
-  if (profiles) [[unlikely]] {
-    // A background refresh feeds the samples but counts no miss: its
-    // request was already counted as a hit in the foreground.
-    if (count_miss)
-      profiles->record_miss(description_->name(), operation,
-                            representation_name(rep), result.deserialize_ns,
-                            store_ns, entry_bytes);
-    else
-      profiles->record_fetch(description_->name(), operation,
-                             representation_name(rep), result.deserialize_ns,
-                             store_ns, entry_bytes);
-  }
+  if (value && options_.profiles)
+    trace.set_entry_bytes(key.memory_size() + value->memory_size());
   // Adaptive exploration: a sampled store also shadow-probes one
   // alternative representation from the same captured response.  After
   // the store and the flight completion, so probing never delays the
@@ -547,10 +522,12 @@ bool CachingServiceClient::schedule_refresh(const soap::RpcRequest& request,
   auto guard = std::make_shared<FlightGuard>(*cache_, std::move(handle));
   auto job = [this, guard, request, shared = share_op(op), policy, key]() {
     try {
-      // Background refreshes trace like any call (they show up in /trace)
-      // but count NO hit or miss: the foreground caller already accounted
-      // for this request.
+      // Background refreshes are sampled like any miss (they show up in
+      // /trace and feed the profile's fetch costs) under their own Refresh
+      // outcome, which counts NO hit or miss anywhere: the foreground
+      // caller already accounted for this request.
       obs::CallTrace trace(description_->name(), request.operation);
+      if (options_.profiles) trace.sample_into(options_.profiles.get(), 1);
       const ResolvedRepresentation resolved =
           resolve_representation(policy, *shared, request.operation);
       trace.set_representation(representation_name(resolved.representation));
@@ -558,8 +535,10 @@ bool CachingServiceClient::schedule_refresh(const soap::RpcRequest& request,
       if (policy.revalidate)
         since = cache_->lookup(key.ref(), ResponseCache::Lookup::Peek)
                     .last_modified;
-      fetch_and_store(trace, request, *shared, policy, key, resolved, since,
-                      guard.get(), /*count_miss=*/false);
+      if (!fetch_and_store(trace, request, *shared, policy, key, resolved,
+                           since, guard.get())
+               .revalidated)
+        trace.set_outcome(obs::Outcome::Refresh);
     } catch (...) {
       guard->fail(std::current_exception());
     }
@@ -584,9 +563,6 @@ std::optional<reflect::Object> CachingServiceClient::serve_stale_on_error(
   if (!entry.fresh && entry.staleness > policy.staleness.stale_if_error)
     return std::nullopt;  // too stale even for degraded mode
   cache_->counters().add(&StatsSnapshot::stale_serves);
-  if (obs::CostProfiles* profiles = options_.profiles.get())
-    profiles->record_stale(description_->name(), operation,
-                           representation_name(entry.value->representation()));
   obs::event_log().emit(obs::EventKind::StaleServe,
                         description_->name() + "." + operation,
                         "origin failing; served stale entry within grace",
@@ -606,27 +582,10 @@ CachingServiceClient::CallResult CachingServiceClient::remote_call(
   wire_request.body = soap::serialize_request(request);
   wire_request.soap_action = request.ns + "#" + request.operation;
   wire_request.if_modified_since = if_modified_since;
-  // Wire time is the transport round trip MINUS any backoff sleeps the
-  // retry layer recorded inside it, so the Wire and Backoff stages never
-  // overlap and the per-call stage sum stays an honest decomposition of
-  // the end-to-end latency.
+  // Wire time is the transport round trip; the backoff sleeps the retry
+  // layer times inside it are nested stages, subtracted from it.
   transport::WireResponse wire = [&] {
-    if (!trace.active()) return transport_->post(endpoint_, wire_request);
-    const std::uint64_t backoff_before = trace.stage_ns(obs::Stage::Backoff);
-    const std::uint64_t wire_start = obs::now_ns();
-    struct WireStage {
-      obs::CallTrace& trace;
-      std::uint64_t backoff_before;
-      std::uint64_t wire_start;
-      ~WireStage() {
-        if (!trace.active()) return;
-        const std::uint64_t elapsed = obs::now_ns() - wire_start;
-        const std::uint64_t slept =
-            trace.stage_ns(obs::Stage::Backoff) - backoff_before;
-        trace.add_stage(obs::Stage::Wire,
-                        elapsed > slept ? elapsed - slept : 0);
-      }
-    } stage{trace, backoff_before, wire_start};
+    obs::StageTimer timer(trace, obs::Stage::Wire);
     return transport_->post(endpoint_, wire_request);
   }();
   out.directives = wire.directives;
@@ -653,10 +612,7 @@ CachingServiceClient::CallResult CachingServiceClient::remote_call(
   }
   {
     obs::StageTimer timer(trace, obs::Stage::Deserialize);
-    const bool profiling = static_cast<bool>(options_.profiles);
-    const std::uint64_t t0 = profiling ? obs::now_ns() : 0;
     out.object = reader.take();  // throws SoapFault if the body was a fault
-    if (profiling) out.deserialize_ns = obs::now_ns() - t0;
   }
   return out;
 }

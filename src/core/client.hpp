@@ -56,11 +56,13 @@ class CachingServiceClient {
     KeyMethod key_method = KeyMethod::ToString;
     CachePolicy policy;
     bool caching_enabled = true;
-    /// Live cost-model feed (null = off).  Hits are sampled: every
-    /// `profile_sample_every`-th hit per thread records one latency
-    /// sample weighted by the period, so the common hit pays only a
-    /// thread-local tick; misses always record (the wire dwarfs it).
+    /// Live cost-model feed (null = off), fed the finished CallTrace
+    /// record of every sampled call — the same stage totals the tracer
+    /// publishes.  Misses are always sampled (the wire dwarfs it).
     std::shared_ptr<obs::CostProfiles> profiles;
+    /// Every `profile_sample_every`-th cacheable call per thread times
+    /// its hit's Retrieve stage as one sample weighing the period; the
+    /// common hit pays only a thread-local tick.
     std::uint32_t profile_sample_every = 64;
     /// Adaptive representation selection (DESIGN.md §13, null = off).
     /// Consulted only for operations whose policy representation is Auto:
@@ -69,10 +71,9 @@ class CachingServiceClient {
     /// Implies profiles: when unset, `profiles` is taken from the policy
     /// so the feedback loop always has a feed.
     std::shared_ptr<AdaptivePolicy> adaptive;
-    /// Miss-path calls slower than this emit a SlowCall event to
-    /// obs::event_log(); 0 disables.  Hit-path latency is never checked
-    /// here (a hit cannot be wire-slow, and the check would cost two
-    /// clock reads per hit).
+    /// Miss-path calls slower than this (by their CallTrace's elapsed
+    /// time) emit a SlowCall event to obs::event_log(); 0 disables.
+    /// Hit-path latency is never checked here (a hit cannot be wire-slow).
     std::uint64_t slow_call_threshold_ns = 0;
     /// Single-flight miss coalescing: concurrent identical misses share
     /// ONE backend call — the first caller leads, the rest park on the
@@ -130,7 +131,6 @@ class CachingServiceClient {
     http::CacheDirectives directives;
     bool not_modified = false;  // 304 answer to a conditional request
     std::optional<std::chrono::seconds> last_modified;
-    std::uint64_t deserialize_ns = 0;  // measured when profiling
   };
 
   /// `record_events` tees the parse into a recorder, decided per
@@ -199,16 +199,17 @@ class CachingServiceClient {
   /// refreshes: wire call (conditional when `since` is set); on 304, renew
   /// the entry with refresh() and hand back its value, refetching
   /// unconditionally if it vanished; otherwise store under the policy's
-  /// effective TTL.  Then complete `guard`'s flight (if any), feed the cost
-  /// profile (counting a miss only when `count_miss`) and run any shadow
-  /// probe.  Throws on wire, parse and SOAP failures.
+  /// effective TTL.  Then complete `guard`'s flight (if any), put the
+  /// entry's bytes on the trace and run any shadow probe.  The caller
+  /// labels the fetch (Miss or Refresh).  Throws on wire, parse and SOAP
+  /// failures.
   Fetched fetch_and_store(obs::CallTrace& trace,
                           const soap::RpcRequest& request,
                           const wsdl::OperationInfo& op,
                           const OperationPolicy& policy, const CacheKey& key,
                           const ResolvedRepresentation& resolved,
                           std::optional<std::chrono::seconds> since,
-                          FlightGuard* guard, bool count_miss);
+                          FlightGuard* guard);
 
   soap::RpcRequest build_request(const std::string& operation,
                                  std::vector<soap::Parameter> params) const;

@@ -196,7 +196,9 @@ void EpollReactor::pause_accepting() {
 // other; the exchange lets exactly one of them re-arm the listener.
 void EpollReactor::maybe_resume_accepting() {
   if (!accept_paused_.load()) return;
-  if (stats_.connections_active.load() >= options_.max_connections * 9 / 10)
+  // Below 90% of the cap, without integer truncation: max * 9 / 10 is 0
+  // for a cap of 1 (never resumes) and 1 for a cap of 2 (waits for both).
+  if (stats_.connections_active.load() * 10 >= options_.max_connections * 9)
     return;
   if (accept_paused_.exchange(false))
     rearm(listener_.fd(), kListenerId, EPOLLIN);

@@ -8,27 +8,6 @@ namespace wsc::obs {
 
 namespace {
 
-std::string make_key(std::string_view service, std::string_view operation,
-                     std::string_view representation) {
-  std::string key;
-  key.reserve(service.size() + operation.size() + representation.size() + 2);
-  key.append(service);
-  key.push_back('\0');
-  key.append(operation);
-  key.push_back('\0');
-  key.append(representation);
-  return key;
-}
-
-void split_key(const std::string& key, std::string& service,
-               std::string& operation, std::string& representation) {
-  const std::size_t a = key.find('\0');
-  const std::size_t b = key.find('\0', a + 1);
-  service = key.substr(0, a);
-  operation = key.substr(a + 1, b - a - 1);
-  representation = key.substr(b + 1);
-}
-
 CostProfiles::LatencyStat latency_stat(const WindowedSummary& summary,
                                        std::uint64_t now) {
   CostProfiles::LatencyStat stat;
@@ -69,60 +48,48 @@ CostProfiles::CostProfiles(WindowOptions window)
 CostProfiles::Cell& CostProfiles::cell_locked(
     std::string_view service, std::string_view operation,
     std::string_view representation) {
-  std::string key = make_key(service, operation, representation);
+  const auto key = std::tie(service, operation, representation);
   auto it = cells_.find(key);
   if (it == cells_.end())
-    it = cells_.emplace(std::move(key), std::make_unique<Cell>(window_))
-             .first;
+    it = cells_.emplace(key, std::make_unique<Cell>(window_)).first;
   return *it->second;
 }
 
-void CostProfiles::record_hit(std::string_view service,
-                              std::string_view operation,
-                              std::string_view representation,
-                              std::uint64_t hit_ns, std::uint64_t weight) {
-  std::lock_guard lock(mu_);
-  Cell& cell = cell_locked(service, operation, representation);
-  cell.hits.inc(weight ? weight : 1);
-  cell.hit_ns.record(hit_ns);
-}
-
-void CostProfiles::record_miss(std::string_view service,
-                               std::string_view operation,
-                               std::string_view representation,
-                               std::uint64_t deserialize_ns,
-                               std::uint64_t store_ns, std::uint64_t bytes) {
-  std::lock_guard lock(mu_);
-  Cell& cell = cell_locked(service, operation, representation);
-  cell.misses.inc();
-  fetch_locked(cell, deserialize_ns, store_ns, bytes);
-}
-
-void CostProfiles::record_fetch(std::string_view service,
-                                std::string_view operation,
-                                std::string_view representation,
-                                std::uint64_t deserialize_ns,
-                                std::uint64_t store_ns, std::uint64_t bytes) {
-  std::lock_guard lock(mu_);
-  fetch_locked(cell_locked(service, operation, representation),
-               deserialize_ns, store_ns, bytes);
-}
-
-void CostProfiles::fetch_locked(Cell& cell, std::uint64_t deserialize_ns,
-                                std::uint64_t store_ns, std::uint64_t bytes) {
-  cell.deserialize_ns.record(deserialize_ns);
-  if (bytes > 0) {
-    cell.store_ns.record(store_ns);
-    cell.stored_entries += 1;
-    cell.bytes_sum += bytes;
+void CostProfiles::record(const CallSample& call) {
+  switch (call.outcome) {
+    case Outcome::Hit:
+    case Outcome::Miss:
+    case Outcome::Refresh:
+    case Outcome::StaleServe:
+    case Outcome::StaleRevalidate:
+      break;
+    default:
+      return;  // no cost-row input: never create an empty row for it
   }
-}
-
-void CostProfiles::record_stale(std::string_view service,
-                                std::string_view operation,
-                                std::string_view representation) {
+  // One window timestamp for every instrument this call feeds.
+  const std::uint64_t now = window_.now ? window_.now() : now_ns();
   std::lock_guard lock(mu_);
-  cell_locked(service, operation, representation).stale_serves.inc();
+  Cell& cell = cell_locked(call.service, call.operation, call.representation);
+  switch (call.outcome) {
+    case Outcome::Hit:
+      cell.hits.inc(call.weight, now);
+      cell.hit_ns.record(call.stage(Stage::Retrieve), now);
+      return;
+    case Outcome::Miss:
+      cell.misses.inc(1, now);
+      [[fallthrough]];
+    case Outcome::Refresh:
+      cell.deserialize_ns.record(call.stage(Stage::Deserialize), now);
+      if (call.entry_bytes > 0) {
+        cell.store_ns.record(call.stage(Stage::Store), now);
+        cell.stored_entries += 1;
+        cell.bytes_sum += call.entry_bytes;
+      }
+      return;
+    default:
+      cell.stale_serves.inc(1, now);
+      return;
+  }
 }
 
 void CostProfiles::record_probe(std::string_view service,
@@ -147,7 +114,7 @@ std::vector<CostProfiles::Row> CostProfiles::snapshot() const {
   rows.reserve(cells_.size());
   for (const auto& [key, cell] : cells_) {
     Row row;
-    split_key(key, row.service, row.operation, row.representation);
+    std::tie(row.service, row.operation, row.representation) = key;
     row.hits = cell->hits.value();
     row.misses = cell->misses.value();
     row.stale_serves = cell->stale_serves.value();

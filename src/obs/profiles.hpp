@@ -1,18 +1,18 @@
 // Cost-profile registry: live per-(service, operation, representation)
 // cost rows — the measured counterpart of the paper's static Tables 6-9,
-// and the direct input for the ROADMAP's adaptive representation
-// selection.  Where the paper selects the optimal data representation
-// from type traits known at deployment time, these rows carry what that
-// choice actually costs in production: hit latency (keygen + lookup +
-// retrieve), store latency (capture + insert), response deserialization
-// latency, bytes per cached entry, and hit ratios — each with a lifetime
-// view and a rolling-window view.
+// and the direct input for adaptive representation selection.  Where the
+// paper selects the optimal data representation from type traits known at
+// deployment time, these rows carry what that choice actually costs in
+// production: hit latency (the Retrieve stage, Table 7's cost), store
+// latency (capture + insert), response deserialization latency, bytes per
+// cached entry, and hit ratios — each with a lifetime view and a
+// rolling-window view.
 //
-// Feeding discipline (the <=2% hit-path overhead budget): the client
-// middleware samples hits — every Nth hit per thread records one latency
-// sample and bumps the hit counter by N, so counters stay unbiased while
-// the common hit pays only a thread-local tick.  Misses always record
-// (the wire round trip dwarfs the bookkeeping).
+// Feeding discipline (the <=2% hit-path overhead budget): every sample is
+// a finished CallTrace record, the same one the tracer publishes.  The
+// client samples hits — every Nth hit per thread is timed and weighs N, so
+// counters stay unbiased while the common hit pays only a thread-local
+// tick.  Misses are always sampled (the wire round trip dwarfs it).
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,10 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "obs/windowed.hpp"
 
 namespace wsc::obs {
@@ -31,32 +33,13 @@ class CostProfiles {
  public:
   explicit CostProfiles(WindowOptions window = {});
 
-  /// One sampled hit covering `weight` calls: bumps the hit counter by
-  /// `weight`, records one latency sample (keygen+lookup+retrieve ns).
-  void record_hit(std::string_view service, std::string_view operation,
-                  std::string_view representation, std::uint64_t hit_ns,
-                  std::uint64_t weight = 1);
-
-  /// One miss: always counted, plus the samples of its fetch
-  /// (record_fetch).
-  void record_miss(std::string_view service, std::string_view operation,
-                   std::string_view representation,
-                   std::uint64_t deserialize_ns, std::uint64_t store_ns,
-                   std::uint64_t bytes);
-
-  /// The samples of one fetch WITHOUT counting a miss — a background
-  /// refresh, whose request the foreground caller already counted as a
-  /// hit.  `store_ns`/`bytes` are zero when the response was not stored
-  /// (policy/directive suppression): then only the deserialize sample is
-  /// added, no store sample or bytes-per-entry row.
-  void record_fetch(std::string_view service, std::string_view operation,
-                    std::string_view representation,
-                    std::uint64_t deserialize_ns, std::uint64_t store_ns,
-                    std::uint64_t bytes);
-
-  /// Degraded-mode stale serve (availability, not a hit or a miss).
-  void record_stale(std::string_view service, std::string_view operation,
-                    std::string_view representation);
+  /// One finished call.  Its outcome picks what it feeds: a hit adds
+  /// `weight` hits and one Retrieve sample; a miss counts one miss, a
+  /// background refresh none, and both add a Deserialize sample plus,
+  /// when they stored an entry, a Store sample and its bytes; a stale
+  /// serve (either grace) counts one stale serve.  Other outcomes feed
+  /// nothing.
+  void record(const CallSample& call);
 
   /// Shadow probe of an alternative representation (adaptive selection):
   /// on a sampled store, the middleware captures the response in an
@@ -129,15 +112,16 @@ class CostProfiles {
 
   Cell& cell_locked(std::string_view service, std::string_view operation,
                     std::string_view representation);
-  static void fetch_locked(Cell& cell, std::uint64_t deserialize_ns,
-                           std::uint64_t store_ns, std::uint64_t bytes);
 
   WindowOptions window_;
   std::string window_label_;
   mutable std::mutex mu_;
-  // Key: service '\0' operation '\0' representation — sorted, so snapshots
-  // come out in a deterministic order.
-  std::map<std::string, std::unique_ptr<Cell>, std::less<>> cells_;
+  // Key: (service, operation, representation) — sorted, so snapshots come
+  // out in a deterministic order; found by views, so a feed into an
+  // existing row allocates nothing.
+  std::map<std::tuple<std::string, std::string, std::string>,
+           std::unique_ptr<Cell>, std::less<>>
+      cells_;
 };
 
 }  // namespace wsc::obs

@@ -5,24 +5,23 @@
 #include <thread>
 #include <unordered_map>
 
+#include "obs/profiles.hpp"
+
 namespace wsc::obs {
 
 namespace {
 
 /// Aggregation key: the four labels, NUL-separated (none of them may
-/// contain NUL — they are operation/representation names).
-std::string group_key(const CallLabels& labels) {
-  std::string key;
-  key.reserve(labels.service.size() + labels.operation.size() +
-              labels.representation.size() + 4);
-  key += labels.service;
+/// contain NUL — they are operation/representation names), built into a
+/// reused buffer.
+void group_key(const CallSample& sample, std::string& key) {
+  key.assign(sample.service);
   key += '\0';
-  key += labels.operation;
+  key += sample.operation;
   key += '\0';
-  key += labels.representation;
+  key += sample.representation;
   key += '\0';
-  key += static_cast<char>('0' + static_cast<int>(labels.outcome));
-  return key;
+  key += static_cast<char>('0' + static_cast<int>(sample.outcome));
 }
 
 std::atomic<std::uint64_t> g_next_tracer_id{1};
@@ -53,6 +52,7 @@ std::string_view outcome_name(Outcome o) {
     case Outcome::Error: return "error";
     case Outcome::Coalesced: return "coalesced";
     case Outcome::StaleRevalidate: return "stale_revalidate";
+    case Outcome::Refresh: return "refresh";
   }
   return "unknown";
 }
@@ -115,6 +115,7 @@ struct Tracer::ThreadState {
   std::size_t ring_next = 0;
   std::uint64_t calls = 0;
   std::uint64_t dropped = 0;  // exemplars overwritten in the ring
+  std::string key;            // group_key() buffer
 };
 
 namespace {
@@ -154,20 +155,24 @@ Tracer::ThreadState& Tracer::local_state() {
   return *state;
 }
 
-void Tracer::publish(CallRecord&& record) {
+void Tracer::publish(const CallSample& sample, std::uint64_t total_ns) {
   ThreadState& state = local_state();
   std::uint32_t every = sample_every();
   std::lock_guard lock(state.mu);
-  GroupSummary& group = state.groups[group_key(record.labels)];
-  if (group.calls == 0) group.labels = record.labels;
+  group_key(sample, state.key);
+  GroupSummary& group = state.groups[state.key];
+  if (group.calls == 0)
+    group.labels = {std::string(sample.service), std::string(sample.operation),
+                    std::string(sample.representation), sample.outcome};
   ++group.calls;
-  group.total_sum_ns += record.total_ns;
-  group.total_hist.record(record.total_ns);
+  group.total_sum_ns += total_ns;
+  group.total_hist.record(total_ns);
   for (std::size_t i = 0; i < kStageCount; ++i) {
-    if (record.stage_ns[i] != 0)
-      group.stages[i].add(record.stage_ns[i]);
+    if (sample.stage_ns[i] != 0)
+      group.stages[i].add(sample.stage_ns[i]);
   }
   if (state.calls++ % every == 0) {
+    CallRecord record{group.labels, total_ns, sample.stage_ns};
     if (state.ring.size() < ring_capacity_) {
       state.ring.push_back(std::move(record));
     } else {
@@ -244,14 +249,11 @@ Tracer& tracer() {
 
 CallTrace::CallTrace(Tracer& tracer, std::string_view service,
                      std::string_view operation) {
+  sample_.service = service;
+  sample_.operation = operation;
   if (!tracer.enabled()) return;
   tracer_ = &tracer;
-  record_.labels.service = service;
-  record_.labels.operation = operation;
-  prev_ = t_current_call;
-  t_current_call = this;
-  // Start the clock only after the label setup so the bookkeeping above is
-  // excluded from total_ns and the stage sum can account for the total.
+  sample_into(nullptr, 1);
   start_ns_ = now_ns();
 }
 
@@ -259,26 +261,36 @@ CallTrace::CallTrace(std::string_view service, std::string_view operation)
     : CallTrace(obs::tracer(), service, operation) {}
 
 CallTrace::~CallTrace() {
-  if (!tracer_) return;
-  record_.total_ns = now_ns() - start_ns_;
+  if (!timed_) return;
+  const std::uint64_t end = tracer_ ? now_ns() : 0;
   t_current_call = prev_;
-  tracer_->publish(std::move(record_));
+  if (profiles_) profiles_->record(sample_);
+  if (tracer_) tracer_->publish(sample_, end - start_ns_);
 }
 
-void CallTrace::set_representation(std::string_view rep) {
-  if (tracer_) record_.labels.representation = rep;
-}
-
-void CallTrace::set_outcome(Outcome outcome) {
-  if (tracer_) record_.labels.outcome = outcome;
+void CallTrace::sample_into(CostProfiles* profiles, std::uint64_t weight) {
+  profiles_ = profiles;
+  sample_.weight = weight;
+  if (timed_) return;
+  timed_ = true;
+  prev_ = t_current_call;
+  t_current_call = this;
 }
 
 void CallTrace::add_stage(Stage s, std::uint64_t ns) {
-  if (tracer_) record_.stage_ns[static_cast<std::size_t>(s)] += ns;
+  if (!timed_) return;
+  sample_.stage_ns[static_cast<std::size_t>(s)] += ns;
+  attributed_ns_ += ns;
 }
 
-std::uint64_t CallTrace::stage_ns(Stage s) const {
-  return tracer_ ? record_.stage_ns[static_cast<std::size_t>(s)] : 0;
+std::uint64_t CallTrace::elapsed_ns() const {
+  return start_ns_ ? now_ns() - start_ns_ : 0;
+}
+
+std::uint64_t CallTrace::clock_ns() {
+  const std::uint64_t now = now_ns();
+  if (!start_ns_) start_ns_ = now;
+  return now;
 }
 
 CallTrace* current_call() { return t_current_call; }

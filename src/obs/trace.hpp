@@ -9,13 +9,22 @@
 // deserialization, and store, labeled by
 // (service, operation, representation, outcome).
 //
+// CallTrace is the client's one per-call clock.  Its finished record
+// (CallSample) goes to two sinks: the Tracer (/trace, /metrics) when the
+// tracer was enabled as the call began, and CostProfiles (/profiles, the
+// adaptive policy) when the client sampled the call for it.  Both read
+// the same stage totals, so they cannot disagree.
+//
 // Cost model:
-//   * disabled (default): one relaxed atomic load + branch per call and
-//     per stage timer — no clock reads, no allocation, no locking;
-//   * enabled: two clock reads per stage, and one uncontended per-thread
-//     mutex acquisition per call to publish into that thread's aggregates
-//     and exemplar ring buffer.  Threads never share write state; a
-//     snapshot() merges the per-thread states read-side.
+//   * untimed (tracer disabled, call not sampled): one relaxed atomic load
+//     + branch per call and per stage timer — no clock reads, no
+//     allocation, no locking;
+//   * timed: two clock reads per stage (the first stage of a call sampled
+//     after it began starts its clock, sharing that reading);
+//   * published: two more clock reads for the total, and one uncontended
+//     per-thread mutex acquisition per call to publish into that thread's
+//     aggregates and exemplar ring buffer.  Threads never share write
+//     state; a snapshot() merges the per-thread states read-side.
 //
 // Exemplars: every `sample_every`-th call per thread keeps its full
 // per-stage record in a bounded ring buffer (oldest overwritten), so a
@@ -57,8 +66,8 @@ enum class Outcome : std::uint8_t {
   Error,        // call raised
   Coalesced,       // follower served from another caller's in-flight call
   StaleRevalidate, // expired-within-grace entry served; refresh in background
+  Refresh,         // background refresh (SWR, refresh-ahead): no hit or miss
 };
-inline constexpr std::size_t kOutcomeCount = 8;
 std::string_view outcome_name(Outcome o);
 
 /// The label set every trace aggregate and exemplar carries.
@@ -67,6 +76,24 @@ struct CallLabels {
   std::string operation;
   std::string representation;  // empty until the client resolves it
   Outcome outcome = Outcome::Error;
+};
+
+/// One finished call as its CallTrace measured it, handed to both sinks.
+/// The labels are views of strings that outlive the call (the client's
+/// service and operation names, the static representation names), so a
+/// call that is timed but not published copies no label.
+struct CallSample {
+  std::string_view service;
+  std::string_view operation;
+  std::string_view representation;
+  Outcome outcome = Outcome::Error;
+  std::array<std::uint64_t, kStageCount> stage_ns{};
+  std::uint64_t weight = 1;       // calls this sample stands for
+  std::uint64_t entry_bytes = 0;  // key + value bytes stored (0 = none)
+
+  std::uint64_t stage(Stage s) const {
+    return stage_ns[static_cast<std::size_t>(s)];
+  }
 };
 
 /// One fully traced call (an exemplar).
@@ -126,6 +153,7 @@ struct TraceSummary {
 };
 
 class CallTrace;
+class CostProfiles;
 
 /// Trace sink: per-thread aggregation plus sampled exemplars.  One
 /// process-wide instance (`obs::tracer()`) is shared by the client
@@ -167,7 +195,7 @@ class Tracer {
   friend class CallTrace;
 
   ThreadState& local_state();
-  void publish(CallRecord&& record);
+  void publish(const CallSample& sample, std::uint64_t total_ns);
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint32_t> sample_every_{16};
@@ -183,12 +211,12 @@ Tracer& tracer();
 /// Monotonic nanosecond timestamp (steady clock).
 std::uint64_t now_ns();
 
-/// One traced middleware call, stack-scoped in invoke().  Inactive (all
-/// methods no-ops) when the tracer is disabled at construction, so the
-/// disabled hot path pays one relaxed load + branch.  While alive it is
-/// the thread's `current_call()`, which is how layers below the client
-/// (retrying transport, HTTP transport) attribute time without any API
-/// plumbing.
+/// One middleware call, stack-scoped in invoke().  Timed from the start
+/// when the tracer is enabled at construction (and then published to it);
+/// otherwise untimed, all methods cheap no-ops, until the client samples
+/// it with sample_into().  While timed it is the thread's `current_call()`,
+/// which is how layers below the client (retrying transport, HTTP
+/// transport) attribute time without any API plumbing.
 class CallTrace {
  public:
   CallTrace(Tracer& tracer, std::string_view service,
@@ -200,45 +228,71 @@ class CallTrace {
   CallTrace(const CallTrace&) = delete;
   CallTrace& operator=(const CallTrace&) = delete;
 
-  bool active() const { return tracer_ != nullptr; }
-  void set_representation(std::string_view rep);
-  void set_outcome(Outcome outcome);
+  /// Time the rest of the call (if it is not timed already) and, when
+  /// `profiles` is set, feed it the finished record as `weight` calls.
+  /// An untimed call's clock starts at its next stage boundary.
+  void sample_into(CostProfiles* profiles, std::uint64_t weight);
+
+  bool active() const { return timed_; }
+  void set_representation(std::string_view rep) {
+    sample_.representation = rep;
+  }
+  void set_outcome(Outcome outcome) { sample_.outcome = outcome; }
+  void set_entry_bytes(std::uint64_t bytes) { sample_.entry_bytes = bytes; }
   void add_stage(Stage s, std::uint64_t ns);
-  std::uint64_t stage_ns(Stage s) const;
+  std::uint64_t stage_ns(Stage s) const { return sample_.stage(s); }
+  /// Nanoseconds since the call's clock started (0 while untimed).
+  std::uint64_t elapsed_ns() const;
 
  private:
-  Tracer* tracer_ = nullptr;
+  friend class StageTimer;
+  /// A stage boundary's clock reading; the first one starts the clock.
+  std::uint64_t clock_ns();
+
+  Tracer* tracer_ = nullptr;  // publish sink: null = not published
+  CostProfiles* profiles_ = nullptr;
   CallTrace* prev_ = nullptr;
-  CallRecord record_;
+  bool timed_ = false;
+  CallSample sample_;
   std::uint64_t start_ns_ = 0;
+  std::uint64_t attributed_ns_ = 0;  // sum of every stage added so far
 };
 
-/// The innermost active CallTrace on this thread (nullptr when none).
+/// The innermost timed CallTrace on this thread (nullptr when none).
 CallTrace* current_call();
 
 /// RAII stage attribution.  The unbound form attaches to `current_call()`
 /// so transports deep in the stack contribute stages to whatever call is
-/// in flight above them.
+/// in flight above them.  Stages never overlap: time a nested timer
+/// attributes (retry backoff inside the wire round trip) is subtracted
+/// from the enclosing stage, so the stage sum stays an honest
+/// decomposition of the call.
 class StageTimer {
  public:
   StageTimer(CallTrace& trace, Stage stage)
-      : trace_(trace.active() ? &trace : nullptr), stage_(stage) {
-    if (trace_) start_ = now_ns();
-  }
-  explicit StageTimer(Stage stage) : trace_(current_call()), stage_(stage) {
-    if (trace_) start_ = now_ns();
-  }
+      : StageTimer(trace.active() ? &trace : nullptr, stage) {}
+  explicit StageTimer(Stage stage) : StageTimer(current_call(), stage) {}
   ~StageTimer() {
-    if (trace_) trace_->add_stage(stage_, now_ns() - start_);
+    if (!trace_) return;
+    const std::uint64_t elapsed = now_ns() - start_;
+    const std::uint64_t nested = trace_->attributed_ns_ - nested_before_;
+    trace_->add_stage(stage_, elapsed > nested ? elapsed - nested : 0);
   }
 
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
 
  private:
+  StageTimer(CallTrace* trace, Stage stage) : trace_(trace), stage_(stage) {
+    if (!trace_) return;
+    start_ = trace_->clock_ns();
+    nested_before_ = trace_->attributed_ns_;
+  }
+
   CallTrace* trace_;
   Stage stage_;
   std::uint64_t start_ = 0;
+  std::uint64_t nested_before_ = 0;
 };
 
 }  // namespace wsc::obs

@@ -58,13 +58,21 @@ TEST(AdaptiveHammerTest, ChooseAndFeedsRaceTheDecisionLoop) {
         EXPECT_NE(choice.representation, Representation::Auto);
         // Feed the models like the middleware would: the chosen rep takes
         // traffic, the probe (if any) takes a shadow sample.
-        profiles->record_miss("Svc", op,
-                              representation_name(choice.representation),
-                              1000, 2000, 512);
-        if (i % 3 == 0)
-          profiles->record_hit("Svc", op,
-                               representation_name(choice.representation),
-                               700 + 100 * t);
+        obs::CallSample call;
+        call.service = "Svc";
+        call.operation = op;
+        call.representation = representation_name(choice.representation);
+        call.outcome = obs::Outcome::Miss;
+        call.stage_ns[static_cast<std::size_t>(obs::Stage::Deserialize)] = 1000;
+        call.stage_ns[static_cast<std::size_t>(obs::Stage::Store)] = 2000;
+        call.entry_bytes = 512;
+        profiles->record(call);
+        if (i % 3 == 0) {
+          call.outcome = obs::Outcome::Hit;
+          call.stage_ns[static_cast<std::size_t>(obs::Stage::Retrieve)] =
+              700 + 100 * t;
+          profiles->record(call);
+        }
         if (choice.probe != Representation::Auto)
           profiles->record_probe("Svc", op, representation_name(choice.probe),
                                  500 + 50 * t, 900, 256 + 64 * (t % 3));

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/client.hpp"
+#include "obs/profiles.hpp"
 #include "reflect/object.hpp"
 #include "reflect/registry.hpp"
 #include "services/google/service.hpp"
@@ -108,6 +109,47 @@ TEST(TypedHitTest, StubHitAllocatesNoMoreThanMiddlewareHit) {
   EXPECT_GT(middleware_allocs, 0u);
   EXPECT_LE(stub_allocs, middleware_allocs)
       << "the stub copied the object retrieve() built for it alone";
+}
+
+/// Allocations of one warm Reference-representation hit, with or without a
+/// cost profile fed at period 1.  The profile's window clock is pinned, so
+/// no bucket rotation lands inside the measurement.
+std::size_t reference_hit_allocs(bool profiled) {
+  auto transport = std::make_shared<transport::InProcessTransport>();
+  transport->bind(kEndpoint,
+                  make_google_service(std::make_shared<GoogleBackend>()));
+  cache::OperationPolicy policy;
+  policy.cacheable = true;
+  policy.ttl = std::chrono::hours(1);
+  policy.read_only = true;
+  policy.representation = Representation::Reference;
+  cache::CachingServiceClient::Options options;
+  options.policy.set("doGoogleSearch", policy);
+  if (profiled) {
+    obs::WindowOptions window;
+    window.now = [] { return std::uint64_t{1}; };
+    options.profiles = std::make_shared<obs::CostProfiles>(window);
+    options.profile_sample_every = 1;
+  }
+  cache::CachingServiceClient client(transport, google_description(),
+                                     kEndpoint,
+                                     std::make_shared<cache::ResponseCache>(),
+                                     options);
+  const std::vector<Parameter> params = Stack::search_params("profiled");
+  client.invoke("doGoogleSearch", params);  // miss + store (+ profile row)
+  client.invoke("doGoogleSearch", params);  // warm hit
+  std::vector<Parameter> call = params;
+  testing::arm_alloc_counter();
+  { Object hit = client.invoke("doGoogleSearch", std::move(call)); }
+  const std::size_t allocs = testing::disarm_alloc_counter();
+  EXPECT_EQ(client.cache().stats().hits, 2u);
+  return allocs;
+}
+
+TEST(TypedHitTest, ProfiledHitAllocatesNoMoreThanUnprofiledHit) {
+  const std::size_t plain = reference_hit_allocs(/*profiled=*/false);
+  EXPECT_EQ(reference_hit_allocs(/*profiled=*/true), plain)
+      << "feeding an existing cost-profile row allocated";
 }
 
 class TypedHitIsolation : public ::testing::TestWithParam<Representation> {};

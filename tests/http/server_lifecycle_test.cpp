@@ -162,13 +162,43 @@ TEST(ServerLifecycleTest, ReactorPausesAcceptAtMaxConnections) {
   EXPECT_THROW(third.read_some(buf, sizeof(buf)), TimeoutError)
       << "a connection past max_connections was served";
   EXPECT_GE(server.stats().accept_pauses.load(), 1u);
-  // Resume needs active < 90% of 2, i.e. both first connections gone.
   open.clear();
   third.set_read_timeout(std::chrono::milliseconds(5'000));
   const std::size_t n = third.read_some(buf, sizeof(buf));
   EXPECT_EQ(std::string(buf, n).rfind("HTTP/1.1 200 OK", 0), 0u)
       << "the paused connection was not served after resume";
   server.stop();
+}
+
+// Resume is at active < 90% of the cap, compared exactly: a cap of 1
+// resumes once its one connection closes, a cap of 2 after one close.
+TEST(ServerLifecycleTest, ReactorResumesAcceptUnderSmallCaps) {
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("max_connections " + std::to_string(cap));
+    ServerOptions options;
+    options.mode = ServerOptions::Mode::Reactor;
+    options.max_connections = cap;
+    HttpServer server(0, ok_handler(), options);
+    server.start();
+    std::vector<std::unique_ptr<HttpConnection>> open;
+    for (std::size_t i = 0; i < cap; ++i) {
+      open.push_back(
+          std::make_unique<HttpConnection>("127.0.0.1", server.port()));
+      EXPECT_EQ(open.back()->round_trip(Request{}).body, "ok");
+    }
+    TcpStream waiting = TcpStream::connect("127.0.0.1", server.port());
+    waiting.write_all("GET / HTTP/1.1\r\nHost: x\r\n\r\n");
+    waiting.set_read_timeout(std::chrono::milliseconds(300));
+    char buf[4096];
+    EXPECT_THROW(waiting.read_some(buf, sizeof(buf)), TimeoutError);
+    open.erase(open.begin());  // one close; with cap 2 one connection stays
+    waiting.set_read_timeout(std::chrono::milliseconds(5'000));
+    const std::size_t n = waiting.read_some(buf, sizeof(buf));
+    EXPECT_EQ(std::string(buf, n).rfind("HTTP/1.1 200 OK", 0), 0u)
+        << "accepting did not resume after one close";
+    EXPECT_GE(server.stats().accept_pauses.load(), 1u);
+    server.stop();
+  }
 }
 
 TEST(ServerLifecycleTest, ReactorStopsCleanlyWithParkedKeepAliveConns) {

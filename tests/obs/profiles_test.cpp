@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "core/client.hpp"
 #include "http/client.hpp"
@@ -16,6 +17,7 @@
 #include "services/google/service.hpp"
 #include "tests/soap/test_service.hpp"
 #include "transport/inproc_transport.hpp"
+#include "util/clock.hpp"
 #include "util/json.hpp"
 
 namespace wsc {
@@ -30,14 +32,42 @@ using wsc::soap::testing::test_description;
 
 constexpr const char* kEndpoint = "inproc://svc/test";
 
+/// The finished-call records a client would feed for one row of "Svc.op".
+obs::CallSample call(std::string_view rep, obs::Outcome outcome) {
+  obs::CallSample c;
+  c.service = "Svc";
+  c.operation = "op";
+  c.representation = rep;
+  c.outcome = outcome;
+  return c;
+}
+
+obs::CallSample hit(std::string_view rep, std::uint64_t retrieve_ns,
+                    std::uint64_t weight = 1) {
+  obs::CallSample c = call(rep, obs::Outcome::Hit);
+  c.stage_ns[static_cast<std::size_t>(obs::Stage::Retrieve)] = retrieve_ns;
+  c.weight = weight;
+  return c;
+}
+
+obs::CallSample miss(std::string_view rep, std::uint64_t deserialize_ns,
+                     std::uint64_t store_ns, std::uint64_t bytes) {
+  obs::CallSample c = call(rep, obs::Outcome::Miss);
+  c.stage_ns[static_cast<std::size_t>(obs::Stage::Deserialize)] =
+      deserialize_ns;
+  c.stage_ns[static_cast<std::size_t>(obs::Stage::Store)] = store_ns;
+  c.entry_bytes = bytes;
+  return c;
+}
+
 TEST(CostProfilesTest, DirectRecordingComputesRatiosAndBytes) {
   CostProfiles profiles;
   for (int i = 0; i < 3; ++i)
-    profiles.record_hit("Svc", "op", "XML message", 1000 + i * 100);
-  profiles.record_miss("Svc", "op", "XML message", /*deserialize_ns=*/5000,
-                       /*store_ns=*/2000, /*bytes=*/640);
-  profiles.record_miss("Svc", "op", "XML message", 7000, 0, 0);  // not stored
-  profiles.record_stale("Svc", "op", "XML message");
+    profiles.record(hit("XML message", 1000 + i * 100));
+  profiles.record(miss("XML message", /*deserialize_ns=*/5000,
+                       /*store_ns=*/2000, /*bytes=*/640));
+  profiles.record(miss("XML message", 7000, 0, 0));  // not stored
+  profiles.record(call("XML message", obs::Outcome::StaleServe));
 
   std::vector<CostProfiles::Row> rows = profiles.snapshot();
   ASSERT_EQ(rows.size(), 1u);
@@ -65,8 +95,8 @@ TEST(CostProfilesTest, DirectRecordingComputesRatiosAndBytes) {
 
 TEST(CostProfilesTest, SampledHitWeightKeepsRatiosUnbiased) {
   CostProfiles profiles;
-  profiles.record_hit("Svc", "op", "Pass by reference", 500, /*weight=*/64);
-  profiles.record_miss("Svc", "op", "Pass by reference", 100, 100, 32);
+  profiles.record(hit("Pass by reference", 500, /*weight=*/64));
+  profiles.record(miss("Pass by reference", 100, 100, 32));
   std::vector<CostProfiles::Row> rows = profiles.snapshot();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].hits, 64u);         // weighted count
@@ -76,8 +106,8 @@ TEST(CostProfilesTest, SampledHitWeightKeepsRatiosUnbiased) {
 
 TEST(CostProfilesTest, JsonRowsParse) {
   CostProfiles profiles;
-  profiles.record_hit("Svc", "op", "Pass by reference", 1200);
-  profiles.record_miss("Svc", "op", "Pass by reference", 3000, 900, 128);
+  profiles.record(hit("Pass by reference", 1200));
+  profiles.record(miss("Pass by reference", 3000, 900, 128));
   util::json::Value rows = util::json::parse(profiles.json_rows());
   ASSERT_TRUE(rows.is_array());
   ASSERT_EQ(rows.array.size(), 1u);
@@ -172,6 +202,76 @@ TEST(CostProfilesTest, SlowMissEmitsSlowCallEvent) {
   client.invoke("echoString", {{"s", Object::make(std::string("x"))}});
   // Exactly the miss tripped the watchdog; the hit path never checks.
   EXPECT_EQ(obs::event_log().count(obs::EventKind::SlowCall), before + 1);
+}
+
+// One sampler per call: the tracer (/trace, /metrics), the cost profile
+// (/profiles, the adaptive policy) and CacheStats (/stats) count and time
+// the same calls, because both telemetry sinks read one CallTrace record.
+TEST(CostProfilesTest, TracerProfilesAndStatsAgreeCallForCall) {
+  obs::Tracer& tracer = obs::tracer();
+  tracer.reset();
+  tracer.set_enabled(true);
+  util::ManualClock clock;
+  auto cache = std::make_shared<ResponseCache>(ResponseCache::Config{}, clock);
+  auto profiles = std::make_shared<CostProfiles>();
+  CachingServiceClient::Options options = profiled_options(profiles);
+  cache::OperationPolicy p = options.policy.lookup("echoString");
+  p.ttl = std::chrono::milliseconds(1000);
+  p.staleness.stale_while_revalidate = std::chrono::seconds(60);
+  options.policy.set("echoString", p);
+  auto transport = std::make_shared<transport::InProcessTransport>();
+  transport->bind(kEndpoint, make_test_service());
+  CachingServiceClient client(transport, test_description(), kEndpoint, cache,
+                              options);
+  const auto call = [&] {
+    client.invoke("echoString", {{"s", Object::make(std::string("x"))}});
+  };
+  call();                                           // miss
+  for (int i = 0; i < 3; ++i) call();               // hits
+  clock.advance(std::chrono::milliseconds(1500));  // expired, within grace
+  call();  // stale serve + one background refresh
+  const auto group = [&](obs::Outcome outcome) {
+    return tracer.snapshot().find("echoString", outcome, "XML message");
+  };
+  for (int i = 0; i < 5000 && !group(obs::Outcome::Refresh); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  call();  // a hit on the refreshed entry
+  tracer.set_enabled(false);
+
+  const obs::TraceSummary trace = tracer.snapshot();
+  const obs::GroupSummary* hit = trace.find("echoString", obs::Outcome::Hit);
+  const obs::GroupSummary* miss = trace.find("echoString", obs::Outcome::Miss);
+  const obs::GroupSummary* stale =
+      trace.find("echoString", obs::Outcome::StaleRevalidate);
+  const obs::GroupSummary* refresh =
+      trace.find("echoString", obs::Outcome::Refresh);
+  ASSERT_TRUE(hit && miss && stale && refresh);
+  const std::vector<CostProfiles::Row> rows = profiles->snapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  const CostProfiles::Row& row = rows[0];
+  const cache::StatsSnapshot stats = cache->stats();
+
+  EXPECT_EQ(hit->calls, 4u);
+  EXPECT_EQ(row.hits, hit->calls);
+  EXPECT_EQ(stats.hits, hit->calls);
+  EXPECT_EQ(miss->calls, 1u);  // the refresh is no miss, anywhere
+  EXPECT_EQ(row.misses, miss->calls);
+  EXPECT_EQ(stats.misses, miss->calls);
+  EXPECT_EQ(stale->calls, 1u);
+  EXPECT_EQ(row.stale_serves, stale->calls);
+  EXPECT_EQ(stats.stale_while_revalidate_served, stale->calls);
+  EXPECT_EQ(refresh->calls, 1u);
+
+  // The profile's hit cost is exactly the tracer's Retrieve stage, and its
+  // fetch costs the Deserialize and Store stages of the miss and refresh.
+  EXPECT_EQ(row.hit_ns.sum_ns, hit->stage(obs::Stage::Retrieve).sum_ns);
+  EXPECT_EQ(row.deserialize_ns.count, 2u);
+  EXPECT_EQ(row.deserialize_ns.sum_ns,
+            miss->stage(obs::Stage::Deserialize).sum_ns +
+                refresh->stage(obs::Stage::Deserialize).sum_ns);
+  EXPECT_EQ(row.store_ns.count, 2u);
+  EXPECT_EQ(row.store_ns.sum_ns, miss->stage(obs::Stage::Store).sum_ns +
+                                     refresh->stage(obs::Stage::Store).sum_ns);
 }
 
 TEST(PortalTelemetryTest, ProfilesAndEventsEndpoints) {

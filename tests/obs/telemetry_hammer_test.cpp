@@ -91,10 +91,16 @@ TEST(TelemetryHammerTest, CostProfilesConcurrentFeedAndScrape) {
   run_threads([&](int t) {
     const std::string op = "op" + std::to_string(t % 2);
     for (int i = 0; i < kOps; ++i) {
-      if (i % 3 == 0)
-        profiles.record_miss("Svc", op, "XML message", 100, 50, 32);
-      else
-        profiles.record_hit("Svc", op, "XML message", 75);
+      obs::CallSample call;
+      call.service = "Svc";
+      call.operation = op;
+      call.representation = "XML message";
+      call.outcome = i % 3 == 0 ? obs::Outcome::Miss : obs::Outcome::Hit;
+      call.stage_ns[static_cast<std::size_t>(obs::Stage::Retrieve)] = 75;
+      call.stage_ns[static_cast<std::size_t>(obs::Stage::Deserialize)] = 100;
+      call.stage_ns[static_cast<std::size_t>(obs::Stage::Store)] = 50;
+      call.entry_bytes = 32;
+      profiles.record(call);
       if (i % 100 == 0) (void)profiles.snapshot();
     }
   });

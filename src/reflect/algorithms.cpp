@@ -1,8 +1,5 @@
 #include "reflect/algorithms.hpp"
 
-#include <cstdint>
-#include <vector>
-
 #include "util/error.hpp"
 
 namespace wsc::reflect {
@@ -13,42 +10,37 @@ namespace {
 /// Primitives are assigned; they are value types in C++, so assignment is
 /// already a full copy (the analogue of sharing immutables in Java).
 void copy_into(const TypeInfo& t, const void* src, void* dst) {
-  switch (t.kind) {
-    case Kind::Bool:
-      *static_cast<bool*>(dst) = *static_cast<const bool*>(src);
-      return;
-    case Kind::Int32:
-      *static_cast<std::int32_t*>(dst) = *static_cast<const std::int32_t*>(src);
-      return;
-    case Kind::Int64:
-      *static_cast<std::int64_t*>(dst) = *static_cast<const std::int64_t*>(src);
-      return;
-    case Kind::Double:
-      *static_cast<double*>(dst) = *static_cast<const double*>(src);
-      return;
-    case Kind::String:
-      *static_cast<std::string*>(dst) = *static_cast<const std::string*>(src);
-      return;
-    case Kind::Bytes:
-      *static_cast<std::vector<std::uint8_t>*>(dst) =
-          *static_cast<const std::vector<std::uint8_t>*>(src);
-      return;
-    case Kind::Array: {
-      std::size_t n = t.array_size(src);
-      t.array_resize(dst, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        copy_into(*t.element, t.array_at(const_cast<void*>(src), i),
-                  t.array_at(dst, i));
-      }
-      return;
+  if (t.ops) {
+    t.ops->copy(src, dst);
+  } else if (t.is_array()) {
+    std::size_t n = t.array_size(src);
+    t.array_resize(dst, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      copy_into(*t.element, t.array_at(const_cast<void*>(src), i),
+                t.array_at(dst, i));
     }
-    case Kind::Struct: {
-      for (const FieldInfo& f : t.fields)
-        copy_into(*f.type, f.at(src), f.at(dst));
-      return;
-    }
+  } else {
+    for (const FieldInfo& f : t.fields)
+      copy_into(*f.type, f.at(src), f.at(dst));
   }
-  throw ReflectionError("copy_into: corrupt kind");
+}
+
+bool equals(const TypeInfo& t, const void* x, const void* y) {
+  if (t.ops) return t.ops->equals(x, y);
+  if (t.is_array()) {
+    std::size_t n = t.array_size(x);
+    if (n != t.array_size(y)) return false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!equals(*t.element, t.array_at(const_cast<void*>(x), i),
+                  t.array_at(const_cast<void*>(y), i)))
+        return false;
+    }
+    return true;
+  }
+  for (const FieldInfo& f : t.fields) {
+    if (!equals(*f.type, f.at(x), f.at(y))) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -91,96 +83,45 @@ Object clone(const Object& obj) {
 bool deep_equals(const Object& a, const Object& b) {
   if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
   if (&a.type() != &b.type()) return false;
-
-  struct Cmp {
-    static bool eq(const TypeInfo& t, const void* x, const void* y) {
-      switch (t.kind) {
-        case Kind::Bool:
-          return *static_cast<const bool*>(x) == *static_cast<const bool*>(y);
-        case Kind::Int32:
-          return *static_cast<const std::int32_t*>(x) ==
-                 *static_cast<const std::int32_t*>(y);
-        case Kind::Int64:
-          return *static_cast<const std::int64_t*>(x) ==
-                 *static_cast<const std::int64_t*>(y);
-        case Kind::Double:
-          return *static_cast<const double*>(x) == *static_cast<const double*>(y);
-        case Kind::String:
-          return *static_cast<const std::string*>(x) ==
-                 *static_cast<const std::string*>(y);
-        case Kind::Bytes:
-          return *static_cast<const std::vector<std::uint8_t>*>(x) ==
-                 *static_cast<const std::vector<std::uint8_t>*>(y);
-        case Kind::Array: {
-          std::size_t n = t.array_size(x);
-          if (n != t.array_size(y)) return false;
-          for (std::size_t i = 0; i < n; ++i) {
-            if (!eq(*t.element, t.array_at(const_cast<void*>(x), i),
-                    t.array_at(const_cast<void*>(y), i)))
-              return false;
-          }
-          return true;
-        }
-        case Kind::Struct: {
-          for (const FieldInfo& f : t.fields) {
-            if (!eq(*f.type, f.at(x), f.at(y))) return false;
-          }
-          return true;
-        }
-      }
-      throw ReflectionError("deep_equals: corrupt kind");
-    }
-  };
-  return Cmp::eq(a.type(), a.data(), b.data());
+  return equals(a.type(), a.data(), b.data());
 }
 
 void to_string_append(const TypeInfo& t, const void* value, std::string& out) {
-  // The builtin primitives carry an allocation-free appender; a custom
-  // to_string_fn without one appends its temporary (correct, just not the
-  // zero-alloc fast path).
-  if (t.to_string_append_fn) {
-    t.to_string_append_fn(value, out);
-    return;
-  }
   if (t.to_string_fn) {
-    out += t.to_string_fn(value);
+    out += t.to_string_fn(value);  // a struct's custom toString
     return;
   }
-  switch (t.kind) {
-    case Kind::Array: {
-      out += '[';
-      std::size_t n = t.array_size(value);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i > 0) out += ',';
-        to_string_append(*t.element, t.array_at(const_cast<void*>(value), i),
-                         out);
-      }
-      out += ']';
-      return;
-    }
-    case Kind::Struct: {
-      if (!t.traits.bean)
-        throw SerializationError("toString: type '" + t.name +
-                                 "' has no usable toString method");
-      out += t.name;
-      out += '{';
-      bool first = true;
-      for (const FieldInfo& f : t.fields) {
-        if (!first) out += ',';
-        first = false;
-        out += f.name;
-        out += '=';
-        to_string_append(*f.type, f.at(value), out);
-      }
-      out += '}';
-      return;
-    }
-    default:
-      // Primitive without a to_string_fn: only Bytes lands here — its Java
-      // analogue's toString is the address-based Object.toString.
-      throw SerializationError("toString: type '" + t.name +
-                               "' has no usable toString method");
+  if (t.ops && t.ops->has_to_string) {
+    t.ops->append_text(value, out);
+    return;
   }
+  if (t.is_array()) {
+    out += '[';
+    std::size_t n = t.array_size(value);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0) out += ',';
+      to_string_append(*t.element, t.array_at(const_cast<void*>(value), i),
+                       out);
+    }
+    out += ']';
+    return;
+  }
+  // Bytes and non-bean structs: the Java analogue's toString is the
+  // address-based Object.toString, unusable as a key.
+  if (t.ops || !t.traits.bean)
+    throw SerializationError("toString: type '" + t.name +
+                             "' has no usable toString method");
+  out += t.name;
+  out += '{';
+  bool first = true;
+  for (const FieldInfo& f : t.fields) {
+    if (!first) out += ',';
+    first = false;
+    out += f.name;
+    out += '=';
+    to_string_append(*f.type, f.at(value), out);
+  }
+  out += '}';
 }
 
 void to_string_append(const Object& obj, std::string& out) {
@@ -203,30 +144,19 @@ std::string to_string(const Object& obj) {
 }
 
 std::size_t memory_size(const TypeInfo& t, const void* value) {
-  std::size_t total = 0;
-  switch (t.kind) {
-    case Kind::Array: {
-      total += t.shallow_size;
-      std::size_t n = t.array_size(value);
-      for (std::size_t i = 0; i < n; ++i) {
-        total +=
-            memory_size(*t.element, t.array_at(const_cast<void*>(value), i));
-      }
-      return total;
-    }
-    case Kind::Struct: {
-      total += t.shallow_size;
-      for (const FieldInfo& f : t.fields) {
-        // Field storage is inside shallow_size; add only owned heap.
-        total += memory_size(*f.type, f.at(value)) - f.type->shallow_size;
-      }
-      return total;
-    }
-    default:
-      total += t.shallow_size;
-      if (t.owned_heap_fn) total += t.owned_heap_fn(value);
-      return total;
+  std::size_t total = t.shallow_size;
+  if (t.ops) {
+    total += t.ops->owned_heap(value);
+  } else if (t.is_array()) {
+    std::size_t n = t.array_size(value);
+    for (std::size_t i = 0; i < n; ++i)
+      total += memory_size(*t.element, t.array_at(const_cast<void*>(value), i));
+  } else {
+    // Field storage is inside shallow_size; add only owned heap.
+    for (const FieldInfo& f : t.fields)
+      total += memory_size(*f.type, f.at(value)) - f.type->shallow_size;
   }
+  return total;
 }
 
 std::size_t memory_size(const Object& obj) {

@@ -43,7 +43,7 @@ bool deep_equals(const Object& a, const Object& b);
 
 /// Reflective toString used for cache keys (4.1.2B): primitives render
 /// their value; bean structs render "Type{field=value,...}"; arrays render
-/// "[v1,v2,...]".  Types with a registered to_string_fn use it.  Throws
+/// "[v1,v2,...]".  Structs with a custom to_string_fn use it.  Throws
 /// SerializationError when a type has no usable toString (the Java
 /// Object.toString address fallback, unsuitable for keys).
 std::string to_string(const Object& obj);

@@ -93,8 +93,9 @@ class StructBuilder {
   /// Custom toString (paper 4.1.2B).  Without it, bean types fall back to a
   /// reflective rendering and non-beans have no usable toString at all.
   StructBuilder& to_string(std::string (*fn)(const T&)) {
-    info_->to_string_fn = [fn](const void* p) {
-      return fn(*static_cast<const T*>(p));
+    custom_to_string() = fn;
+    info_->to_string_fn = [](const void* p) {
+      return custom_to_string()(*static_cast<const T*>(p));
     };
     return *this;
   }
@@ -109,6 +110,13 @@ class StructBuilder {
   }
 
  private:
+  /// The per-T slot the type-erased to_string_fn reaches the user's
+  /// function through (a plain function pointer cannot capture it).
+  static std::string (*&custom_to_string())(const T&) {
+    static std::string (*fn)(const T&) = nullptr;
+    return fn;
+  }
+
   std::unique_ptr<TypeInfo> info_;
 };
 

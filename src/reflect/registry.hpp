@@ -75,8 +75,8 @@ const TypeInfo& builtin_double();
 const TypeInfo& builtin_string();
 const TypeInfo& builtin_bytes();
 
-/// Build (once) the TypeInfo for an array type.  `make_ops` fills the
-/// vector-typed function table.
+/// Register (once) an array type whose prototype the caller filled with
+/// its vector-typed function pointers.
 const TypeInfo& register_array_type(std::string name, const TypeInfo& element,
                                     TypeInfo&& prototype);
 

@@ -17,10 +17,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
+
+namespace wsc::util {
+class ByteReader;
+class ByteWriter;
+}  // namespace wsc::util
 
 namespace wsc::reflect {
 
@@ -53,6 +58,34 @@ struct FieldInfo {
   const void* at(const void* obj) const noexcept {
     return static_cast<const char*>(obj) + offset;
   }
+};
+
+/// Everything a primitive kind does, as one row of plain function pointers
+/// (registry.cpp builds one per builtin from a single template).  Every
+/// walker -- copy, equals, toString and cache keys, memory_size, binary
+/// and SOAP read/write, WSDL -- calls the row and recurses only through
+/// structs and arrays itself, so no walker switches on a primitive Kind.
+struct PrimitiveOps {
+  /// The XSD QName of the SOAP xsi:type and WSDL part ("xsd:int").
+  const char* xsd_name;
+  void (*copy)(const void* src, void* dst);
+  bool (*equals)(const void* a, const void* b);
+  /// Appends the value's lexical form: the toString and cache-key text,
+  /// and the SOAP content before escaping (Base64 for Bytes).
+  void (*append_text)(const void* value, std::string& out);
+  /// Parses SOAP content into the value; may move out of `text`.
+  void (*parse_text)(std::string& text, void* dst);
+  void (*encode)(const void* value, util::ByteWriter& out);
+  void (*decode)(util::ByteReader& in, void* dst);
+  /// Heap bytes the value owns directly (string/bytes capacity, else 0).
+  std::size_t (*owned_heap)(const void* value);
+  /// False for Bytes: Java's byte[].toString is the address-based
+  /// Object.toString, so the text is no usable toString or cache key
+  /// (paper 4.1.2B) and only the SOAP writer uses it.
+  bool has_to_string;
+  /// True for String only: no other kind's text can hold '<', '&' or
+  /// '>', so the SOAP writer appends those unescaped.
+  bool needs_escaping;
 };
 
 struct Traits {
@@ -88,26 +121,21 @@ class TypeInfo {
   /// Array only: element type.
   const TypeInfo* element = nullptr;
 
-  // --- per-type function table (populated by the builder) ---
-  std::function<std::shared_ptr<void>()> construct;  // default-construct
+  /// Primitive kinds only: the kind's row (null for Struct and Array).
+  const PrimitiveOps* ops = nullptr;
+
+  // --- per-type function pointers (set by the builders) ---
+  std::shared_ptr<void> (*construct)() = nullptr;  // default-construct
   /// Deep clone via the native copy constructor; null unless cloneable.
-  std::function<std::shared_ptr<void>(const void*)> clone_fn;
-  /// Custom to_string; null means "use the reflective default if bean,
-  /// otherwise the type has no usable toString" (paper 4.1.2B).
-  std::function<std::string(const void*)> to_string_fn;
-  /// Allocation-free companion to to_string_fn: appends the SAME bytes
-  /// directly into the caller's buffer (the zero-allocation cache-key
-  /// path).  Set for the builtin primitives; a custom to_string_fn without
-  /// one falls back to appending to_string_fn's temporary.
-  std::function<void(const void*, std::string&)> to_string_append_fn;
-  /// Heap bytes owned directly by a primitive value (string/bytes
-  /// capacity); null for kinds with no owned heap.
-  std::function<std::size_t(const void*)> owned_heap_fn;
+  std::shared_ptr<void> (*clone_fn)(const void*) = nullptr;
+  /// Struct only: custom toString; null means "use the reflective default
+  /// if bean, otherwise the type has no usable toString" (paper 4.1.2B).
+  std::string (*to_string_fn)(const void*) = nullptr;
 
   // Array operations (Array kind only).
-  std::function<std::size_t(const void*)> array_size;
-  std::function<void*(void*, std::size_t)> array_at;
-  std::function<void(void*, std::size_t)> array_resize;
+  std::size_t (*array_size)(const void*) = nullptr;
+  void* (*array_at)(void*, std::size_t) = nullptr;
+  void (*array_resize)(void*, std::size_t) = nullptr;
 
   bool is_struct() const noexcept { return kind == Kind::Struct; }
   bool is_array() const noexcept { return kind == Kind::Array; }

@@ -89,13 +89,6 @@ bool is_response_element(std::string_view name, const wsdl::OperationInfo& op) {
          name.starts_with(op.name) && name.ends_with(kSuffix);
 }
 
-bool all_ws(std::string_view text) {
-  for (char c : text) {
-    if (c != ' ' && c != '\t' && c != '\r' && c != '\n') return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 // --- ResponseReader ---------------------------------------------------------
@@ -222,7 +215,8 @@ void ResponseReader::characters(std::string_view text) {
       else if (fault_field_ == "faultstring") faultstring_.append(text);
       return;
     default:
-      require(all_ws(text), "unexpected character data in envelope");
+      require(util::trim(text).empty(),
+              "unexpected character data in envelope");
   }
 }
 
@@ -322,7 +316,8 @@ void RequestReader::characters(std::string_view text) {
     value_->characters(text);
     return;
   }
-  require(all_ws(text), "unexpected character data in envelope");
+  require(util::trim(text).empty(),
+          "unexpected character data in envelope");
 }
 
 RpcRequest RequestReader::take() {

@@ -1,148 +1,161 @@
 #include "soap/serializer.hpp"
 
-#include <cstdint>
 #include <deque>
-#include <vector>
 
-#include "util/base64.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "wsdl/wsdl_writer.hpp"
 
 namespace wsc::soap {
 
-using reflect::Kind;
 using reflect::TypeInfo;
 
 namespace {
 
-std::string primitive_text(const TypeInfo& t, const void* v) {
-  switch (t.kind) {
-    case Kind::Bool:
-      return *static_cast<const bool*>(v) ? "true" : "false";
-    case Kind::Int32:
-      return std::to_string(*static_cast<const std::int32_t*>(v));
-    case Kind::Int64:
-      return std::to_string(*static_cast<const std::int64_t*>(v));
-    case Kind::Double:
-      return util::format_double(*static_cast<const double*>(v));
-    default:
-      throw ReflectionError("primitive_text on non-primitive");
+/// Writes values into one xml::Writer.  Every composed string (xsi:type
+/// and soapenc:arrayType values, the wrapper's name, a primitive's text)
+/// is built in one scratch string reused for the whole message, so a
+/// serialization allocates only for output growth.
+class ValueWriter {
+ public:
+  explicit ValueWriter(xml::Writer& w) : w(w) {}
+
+  /// `a` + `b` in the scratch string; valid until the next scratch use.
+  std::string_view concat(std::string_view a, std::string_view b) {
+    scratch_.assign(a);
+    scratch_ += b;
+    return scratch_;
   }
-}
 
-/// A primitive value's content: strings escaped straight from the field,
-/// byte arrays as Base64 (which never needs escaping), numbers and
-/// booleans through primitive_text().
-void write_primitive(xml::Writer& w, const TypeInfo& t, const void* v) {
-  switch (t.kind) {
-    case Kind::String:
-      w.text(*static_cast<const std::string*>(v));
-      return;
-    case Kind::Bytes:
-      w.raw(util::base64_encode(
-          *static_cast<const std::vector<std::uint8_t>*>(v)));
-      return;
-    default:
-      w.text(primitive_text(t, v));
+  void open_envelope() {
+    w.start_element("soapenv:Envelope")
+        .attribute("xmlns:soapenv", kEnvelopeNs)
+        .attribute("xmlns:xsd", kXsdNs)
+        .attribute("xmlns:xsi", kXsiNs)
+        .attribute("xmlns:soapenc", kEncodingNs);
+    w.start_element("soapenv:Body");
   }
-}
 
-void open_envelope(xml::Writer& w) {
-  w.start_element("soapenv:Envelope")
-      .attribute("xmlns:soapenv", kEnvelopeNs)
-      .attribute("xmlns:xsd", kXsdNs)
-      .attribute("xmlns:xsi", kXsiNs)
-      .attribute("xmlns:soapenc", kEncodingNs);
-  w.start_element("soapenv:Body");
-}
+  /// <ns1:{operation}{suffix}> bound to `ns`, the rpc wrapper element.
+  void open_wrapper(std::string_view operation, std::string_view suffix,
+                    std::string_view ns) {
+    concat("ns1:", operation);
+    scratch_ += suffix;
+    w.start_element(scratch_)
+        .attribute("soapenv:encodingStyle", kEncodingNs)
+        .attribute("xmlns:ns1", ns);
+  }
 
-std::string close_envelope(xml::Writer& w) {
-  w.end_element();  // Body
-  w.end_element();  // Envelope
-  return w.finish();
-}
+  std::string close_envelope() {
+    w.end_element();  // Body
+    w.end_element();  // Envelope
+    return w.finish();
+  }
 
-}  // namespace
+  void struct_type(const TypeInfo& t) {
+    w.attribute("xsi:type", concat("ns1:", t.name));
+  }
 
-namespace {
+  void array_type(const TypeInfo& t, std::size_t n) {
+    w.attribute("xsi:type", "soapenc:Array");
+    scratch_.clear();
+    wsdl::append_xsd_qname(scratch_, *t.element, "ns1");
+    scratch_ += '[';
+    util::append_i64(scratch_, static_cast<std::int64_t>(n));
+    scratch_ += ']';
+    w.attribute("soapenc:arrayType", scratch_);
+  }
 
-/// Encode one value.  `typed` controls the xsi:type attribute: top-level
-/// parameters/results and polymorphic positions (array items, nested
-/// structs) carry it; primitive struct members rely on the schema, which
-/// keeps message sizes near the paper's Table 8/9 measurements.
-void write_value_impl(xml::Writer& w, const std::string& elem_name,
-                      const TypeInfo& t, const void* value, bool typed) {
-  w.start_element(elem_name);
-  switch (t.kind) {
-    case Kind::Struct:
-      w.attribute("xsi:type", "ns1:" + t.name);
+  /// A primitive's content: the row's text (strings verbatim, numbers as
+  /// toString formats them, Base64 for bytes), escaped if it may need it.
+  void primitive(const TypeInfo& t, const void* v, bool typed) {
+    if (typed) w.attribute("xsi:type", t.ops->xsd_name);
+    scratch_.clear();
+    t.ops->append_text(v, scratch_);
+    if (t.ops->needs_escaping)
+      w.text(scratch_);
+    else
+      w.raw(scratch_);
+  }
+
+  /// Encode one value inline.  `typed` controls the xsi:type attribute:
+  /// top-level parameters/results and polymorphic positions (array items,
+  /// nested structs) carry it; primitive struct members rely on the
+  /// schema, which keeps message sizes near the paper's Table 8/9
+  /// measurements.
+  void value(std::string_view elem_name, const TypeInfo& t, const void* v,
+             bool typed) {
+    w.start_element(elem_name);
+    if (t.ops) {
+      primitive(t, v, typed);
+    } else if (t.is_array()) {
+      std::size_t n = t.array_size(v);
+      array_type(t, n);
+      for (std::size_t i = 0; i < n; ++i)
+        value("item", *t.element, t.array_at(const_cast<void*>(v), i), true);
+    } else {
+      struct_type(t);
       for (const reflect::FieldInfo& f : t.fields)
-        write_value_impl(w, f.name, *f.type, f.at(value),
-                         /*typed=*/!f.type->is_primitive());
-      break;
-    case Kind::Array: {
-      std::size_t n = t.array_size(value);
-      w.attribute("xsi:type", "soapenc:Array");
-      w.attribute("soapenc:arrayType",
-                  wsdl::xsd_qname(*t.element, "ns1") + "[" + std::to_string(n) + "]");
-      for (std::size_t i = 0; i < n; ++i) {
-        write_value_impl(w, "item", *t.element,
-                         t.array_at(const_cast<void*>(value), i),
-                         /*typed=*/true);
-      }
-      break;
+        value(f.name, *f.type, f.at(v), /*typed=*/!f.type->is_primitive());
     }
-    default:
-      if (typed) w.attribute("xsi:type", wsdl::xsd_qname(t));
-      write_primitive(w, t, value);
-      break;
+    w.end_element();
   }
-  w.end_element();
+
+  xml::Writer& w;
+
+ private:
+  std::string scratch_;
+};
+
+/// Opens the envelope and the response wrapper.  For a non-void operation
+/// the result must be non-null and of the WSDL-declared type; returns
+/// whether there is a result to write.
+bool open_response(ValueWriter& out, const wsdl::OperationInfo& op,
+                   const std::string& service_ns,
+                   const reflect::Object& result) {
+  out.open_envelope();
+  out.open_wrapper(op.name, "Response", service_ns);
+  if (!op.result_type) return false;
+  if (result.is_null())
+    throw SerializationError("operation '" + op.name +
+                             "': null result for non-void operation");
+  if (&result.type() != op.result_type)
+    throw SerializationError("operation '" + op.name + "': result type '" +
+                             result.type().name + "' does not match WSDL '" +
+                             op.result_type->name + "'");
+  return true;
 }
 
 }  // namespace
 
 void write_value(xml::Writer& w, const std::string& elem_name,
                  const TypeInfo& t, const void* value) {
-  write_value_impl(w, elem_name, t, value, /*typed=*/true);
+  ValueWriter(w).value(elem_name, t, value, /*typed=*/true);
 }
 
 std::string serialize_request(const RpcRequest& request) {
   xml::Writer w;
-  open_envelope(w);
-  w.start_element("ns1:" + request.operation)
-      .attribute("soapenv:encodingStyle", kEncodingNs)
-      .attribute("xmlns:ns1", request.ns);
+  ValueWriter out(w);
+  out.open_envelope();
+  out.open_wrapper(request.operation, "", request.ns);
   for (const Parameter& p : request.params) {
     if (p.value.is_null())
       throw SerializationError("parameter '" + p.name + "' is null");
-    write_value(w, p.name, p.value.type(), p.value.data());
+    out.value(p.name, p.value.type(), p.value.data(), /*typed=*/true);
   }
   w.end_element();
-  return close_envelope(w);
+  return out.close_envelope();
 }
 
 std::string serialize_response(const wsdl::OperationInfo& op,
                                const std::string& service_ns,
                                const reflect::Object& result) {
   xml::Writer w;
-  open_envelope(w);
-  w.start_element("ns1:" + op.response_element())
-      .attribute("soapenv:encodingStyle", kEncodingNs)
-      .attribute("xmlns:ns1", service_ns);
-  if (op.result_type) {
-    if (result.is_null())
-      throw SerializationError("operation '" + op.name +
-                               "': null result for non-void operation");
-    if (&result.type() != op.result_type)
-      throw SerializationError("operation '" + op.name + "': result type '" +
-                               result.type().name + "' does not match WSDL '" +
-                               op.result_type->name + "'");
-    write_value(w, op.result_name, result.type(), result.data());
-  }
+  ValueWriter out(w);
+  if (open_response(out, op, service_ns, result))
+    out.value(op.result_name, result.type(), result.data(), /*typed=*/true);
   w.end_element();
-  return close_envelope(w);
+  return out.close_envelope();
 }
 
 namespace {
@@ -156,24 +169,21 @@ struct MultirefJob {
 
 class MultirefWriter {
  public:
-  explicit MultirefWriter(xml::Writer& w) : w_(w) {}
+  explicit MultirefWriter(ValueWriter& out) : out_(out), w_(out.w) {}
 
   /// Emit one value element: primitives inline, everything else as an
   /// href site whose target is queued.
   void write_site(const std::string& elem_name, const TypeInfo& t,
                   const void* value, bool typed) {
-    if (t.is_primitive()) {
-      w_.start_element(elem_name);
-      if (typed) w_.attribute("xsi:type", wsdl::xsd_qname(t));
-      write_primitive(w_, t, value);
-      w_.end_element();
-      return;
+    w_.start_element(elem_name);
+    if (t.ops) {
+      out_.primitive(t, value, typed);
+    } else {
+      int id = next_id_++;
+      queue_.push_back({&t, value, id});
+      w_.attribute("href", "#id" + std::to_string(id));
     }
-    int id = next_id_++;
-    queue_.push_back({&t, value, id});
-    w_.start_element(elem_name)
-        .attribute("href", "#id" + std::to_string(id))
-        .end_element();
+    w_.end_element();
   }
 
   /// Drain the queue as Body-level multiRef elements (Axis order: after
@@ -188,15 +198,13 @@ class MultirefWriter {
           .attribute("soapenv:encodingStyle", kEncodingNs);
       const TypeInfo& t = *job.type;
       if (t.is_struct()) {
-        w_.attribute("xsi:type", "ns1:" + t.name);
+        out_.struct_type(t);
         for (const reflect::FieldInfo& f : t.fields)
           write_site(f.name, *f.type, f.at(job.value),
                      /*typed=*/false);
       } else {  // array
         std::size_t n = t.array_size(job.value);
-        w_.attribute("xsi:type", "soapenc:Array");
-        w_.attribute("soapenc:arrayType", wsdl::xsd_qname(*t.element, "ns1") +
-                                              "[" + std::to_string(n) + "]");
+        out_.array_type(t, n);
         for (std::size_t i = 0; i < n; ++i) {
           write_site("item", *t.element,
                      t.array_at(const_cast<void*>(job.value), i),
@@ -208,6 +216,7 @@ class MultirefWriter {
   }
 
  private:
+  ValueWriter& out_;
   xml::Writer& w_;
   std::deque<MultirefJob> queue_;
   int next_id_ = 0;
@@ -219,36 +228,26 @@ std::string serialize_response_multiref(const wsdl::OperationInfo& op,
                                         const std::string& service_ns,
                                         const reflect::Object& result) {
   xml::Writer w;
-  open_envelope(w);
-  MultirefWriter multiref(w);
-  w.start_element("ns1:" + op.response_element())
-      .attribute("soapenv:encodingStyle", kEncodingNs)
-      .attribute("xmlns:ns1", service_ns);
-  if (op.result_type) {
-    if (result.is_null())
-      throw SerializationError("operation '" + op.name +
-                               "': null result for non-void operation");
-    if (&result.type() != op.result_type)
-      throw SerializationError("operation '" + op.name + "': result type '" +
-                               result.type().name + "' does not match WSDL '" +
-                               op.result_type->name + "'");
+  ValueWriter out(w);
+  MultirefWriter multiref(out);
+  if (open_response(out, op, service_ns, result))
     multiref.write_site(op.result_name, result.type(), result.data(),
                         /*typed=*/true);
-  }
-  w.end_element();          // wrapper
+  w.end_element();            // wrapper
   multiref.emit_multirefs();  // Body-level multiRef elements
-  return close_envelope(w);
+  return out.close_envelope();
 }
 
 std::string serialize_fault(const std::string& faultcode,
                             const std::string& faultstring) {
   xml::Writer w;
-  open_envelope(w);
+  ValueWriter out(w);
+  out.open_envelope();
   w.start_element("soapenv:Fault");
-  w.text_element("faultcode", "soapenv:" + faultcode);
+  w.text_element("faultcode", out.concat("soapenv:", faultcode));
   w.text_element("faultstring", faultstring);
   w.end_element();
-  return close_envelope(w);
+  return out.close_envelope();
 }
 
 }  // namespace wsc::soap

@@ -1,26 +1,11 @@
 #include "soap/value_reader.hpp"
 
-#include <cstdint>
-
-#include "util/base64.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace wsc::soap {
 
-using reflect::Kind;
 using reflect::TypeInfo;
-
-namespace {
-
-bool all_ws(std::string_view text) {
-  for (char c : text) {
-    if (c != ' ' && c != '\t' && c != '\r' && c != '\n') return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 ValueReader::ValueReader(const TypeInfo& type) : root_type_(&type) {
   if (!type.construct)
@@ -55,31 +40,25 @@ void ValueReader::start_element(const xml::QName& name,
   if (!top.pending_ref.empty())
     throw ParseError("deserialize: href element <" + name.raw +
                      "> must be empty");
-  switch (top.type->kind) {
-    case Kind::Struct: {
-      const reflect::FieldInfo* f = top.type->field(name.local);
-      if (!f)
-        throw ParseError("deserialize: type '" + top.type->name +
-                         "' has no field '" + name.local + "'");
-      std::size_t index =
-          static_cast<std::size_t>(f - top.type->fields.data());
-      frames_.push_back({f->type, f->at(top.target), index, {}, {}});
-      break;
-    }
-    case Kind::Array: {
-      // Axis names encoded array members "item"; accept any child name, as
-      // real decoders do (the position, not the name, carries meaning).
-      std::size_t n = top.type->array_size(top.target);
-      top.type->array_resize(top.target, n + 1);
-      frames_.push_back(
-          {top.type->element, top.type->array_at(top.target, n), n, {}, {}});
-      break;
-    }
-    default:
-      throw ParseError("deserialize: unexpected child element <" + name.raw +
-                       "> inside " +
-                       std::string(reflect::kind_name(top.type->kind)) +
-                       " value");
+  if (top.type->is_struct()) {
+    const reflect::FieldInfo* f = top.type->field(name.local);
+    if (!f)
+      throw ParseError("deserialize: type '" + top.type->name +
+                       "' has no field '" + name.local + "'");
+    std::size_t index = static_cast<std::size_t>(f - top.type->fields.data());
+    frames_.push_back({f->type, f->at(top.target), index, {}, {}});
+  } else if (top.type->is_array()) {
+    // Axis names encoded array members "item"; accept any child name, as
+    // real decoders do (the position, not the name, carries meaning).
+    std::size_t n = top.type->array_size(top.target);
+    top.type->array_resize(top.target, n + 1);
+    frames_.push_back(
+        {top.type->element, top.type->array_at(top.target, n), n, {}, {}});
+  } else {
+    throw ParseError("deserialize: unexpected child element <" + name.raw +
+                     "> inside " +
+                     std::string(reflect::kind_name(top.type->kind)) +
+                     " value");
   }
   // The just-opened child may itself be an href indirection.
   std::string ref = href_of(attrs);
@@ -90,7 +69,7 @@ void ValueReader::characters(std::string_view text) {
   if (done_) throw ParseError("value reader: text after value completed");
   Frame& top = frames_.back();
   if (!top.pending_ref.empty()) {
-    if (!all_ws(text))
+    if (!util::trim(text).empty())
       throw ParseError("deserialize: content inside href element");
     return;
   }
@@ -99,7 +78,7 @@ void ValueReader::characters(std::string_view text) {
     return;
   }
   // Whitespace between child elements is tolerated (pretty-printing).
-  if (!all_ws(text))
+  if (!util::trim(text).empty())
     throw ParseError("deserialize: unexpected character data in " +
                      top.type->name);
 }
@@ -133,30 +112,8 @@ void ValueReader::finish_frame() {
     pending_.push_back(std::move(pending));
     return;
   }
-  switch (top.type->kind) {
-    case Kind::Bool:
-      *static_cast<bool*>(top.target) = util::parse_bool(top.text);
-      break;
-    case Kind::Int32:
-      *static_cast<std::int32_t*>(top.target) = util::parse_i32(top.text);
-      break;
-    case Kind::Int64:
-      *static_cast<std::int64_t*>(top.target) = util::parse_i64(top.text);
-      break;
-    case Kind::Double:
-      *static_cast<double*>(top.target) = util::parse_double(top.text);
-      break;
-    case Kind::String:
-      *static_cast<std::string*>(top.target) = std::move(top.text);
-      break;
-    case Kind::Bytes:
-      *static_cast<std::vector<std::uint8_t>*>(top.target) =
-          util::base64_decode(top.text);
-      break;
-    case Kind::Struct:
-    case Kind::Array:
-      break;  // children already materialized in place
-  }
+  // Structs and arrays were materialized in place by their children.
+  if (top.type->ops) top.type->ops->parse_text(top.text, top.target);
 }
 
 void ValueReader::resolve_pending(RefResolver& resolver) {

@@ -66,13 +66,6 @@ bool ends_with(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-std::string format_double(double v) {
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc{}) throw Error("format_double failed");
-  return std::string(buf, ptr);
-}
-
 void append_i64(std::string& out, std::int64_t v) {
   char buf[32];
   auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);

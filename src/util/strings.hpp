@@ -26,14 +26,11 @@ std::string to_lower(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 
-/// Format a double the way the SOAP layer emits xsd:double values:
-/// shortest representation that round-trips (std::to_chars).
-std::string format_double(double v);
-
 /// Append-style formatters: to_chars into a stack buffer, then append to
 /// `out` — no temporary string, so a caller reusing `out`'s capacity pays
-/// zero heap allocations (the cache-key fast path).  Byte-identical output
-/// to std::to_string (integers) / format_double.
+/// zero heap allocations (the cache-key fast path).  Integers match
+/// std::to_string; a double is the shortest text that round-trips, as
+/// SOAP emits xsd:double values.
 void append_i64(std::string& out, std::int64_t v);
 void append_double(std::string& out, double v);
 

@@ -2,26 +2,27 @@
 
 #include <set>
 
-#include "util/error.hpp"
 #include "xml/writer.hpp"
 
 namespace wsc::wsdl {
 
-using reflect::Kind;
 using reflect::TypeInfo;
 
-std::string xsd_qname(const TypeInfo& type, const std::string& prefix) {
-  switch (type.kind) {
-    case Kind::Bool: return "xsd:boolean";
-    case Kind::Int32: return "xsd:int";
-    case Kind::Int64: return "xsd:long";
-    case Kind::Double: return "xsd:double";
-    case Kind::String: return "xsd:string";
-    case Kind::Bytes: return "xsd:base64Binary";
-    case Kind::Struct:
-    case Kind::Array: return prefix + ":" + type.name;
+void append_xsd_qname(std::string& out, const TypeInfo& type,
+                      std::string_view prefix) {
+  if (type.ops) {
+    out += type.ops->xsd_name;
+    return;
   }
-  throw ReflectionError("xsd_qname: corrupt kind");
+  out += prefix;
+  out += ':';
+  out += type.name;
+}
+
+std::string xsd_qname(const TypeInfo& type, const std::string& prefix) {
+  std::string out;
+  append_xsd_qname(out, type, prefix);
+  return out;
 }
 
 namespace {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "wsdl/description.hpp"
 
@@ -21,5 +22,9 @@ std::string to_wsdl_xml(const ServiceDescription& service,
 /// registered type, matching the serializer's xsi:type values.
 std::string xsd_qname(const reflect::TypeInfo& type,
                       const std::string& type_ns_prefix = "typens");
+
+/// xsd_qname() appended to `out`, for writers that reuse one buffer.
+void append_xsd_qname(std::string& out, const reflect::TypeInfo& type,
+                      std::string_view type_ns_prefix);
 
 }  // namespace wsc::wsdl

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "reflect/algorithms.hpp"
+#include "services/google/service.hpp"
 #include "tests/reflect/test_types.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace wsc::reflect {
 namespace {
@@ -122,6 +124,32 @@ TEST_F(SerializeFixture, DeterministicBytes) {
   Object a = Object::make(sample_polygon());
   Object b = Object::make(sample_polygon());
   EXPECT_EQ(serialize(a), serialize(b));
+}
+
+// --- binary format -----------------------------------------------------------
+//
+// The Serialized representation's bytes for the three §5.1 responses: Table
+// 9 reports their sizes and cached blobs may outlive a build, so a change
+// to the encoder must not move a single byte.  Length plus FNV-1a, as
+// SerializerWireTest pins the XML.
+
+void expect_bytes(const Object& value, std::size_t size, std::uint64_t fnv) {
+  std::vector<std::uint8_t> bytes = serialize(value);
+  EXPECT_EQ(bytes.size(), size) << value.type().name;
+  EXPECT_EQ(util::fnv1a(bytes), fnv) << value.type().name;
+}
+
+TEST(SerializeFormatTest, GoogleResponsesAreByteIdentical) {
+  services::google::ensure_google_types();
+  services::google::GoogleBackend backend;
+  expect_bytes(Object::make(backend.spelling_suggestion("web servies caching")),
+               28, 0x18e5f224b818c9c0ULL);
+  expect_bytes(
+      Object::make(backend.cached_page("http://www.example.com/index.html")),
+      3616, 0xa38270117200b4cbULL);
+  expect_bytes(
+      Object::make(backend.search("web services response caching", 0, 10)),
+      2530, 0x3a47dcadb1896fccULL);
 }
 
 }  // namespace

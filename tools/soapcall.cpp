@@ -23,7 +23,6 @@
 #include "services/quotes/service.hpp"
 #include "soap/serializer.hpp"
 #include "transport/http_transport.hpp"
-#include "util/strings.hpp"
 
 using namespace wsc;
 using reflect::Object;
@@ -40,18 +39,13 @@ std::shared_ptr<const wsdl::ServiceDescription> description_for(
 }
 
 /// Build a parameter object from its WSDL-declared type and a CLI string.
-Object parse_value(const reflect::TypeInfo& type, const std::string& text) {
-  using reflect::Kind;
-  switch (type.kind) {
-    case Kind::Bool: return Object::make(util::parse_bool(text));
-    case Kind::Int32: return Object::make(util::parse_i32(text));
-    case Kind::Int64: return Object::make(util::parse_i64(text));
-    case Kind::Double: return Object::make(util::parse_double(text));
-    case Kind::String: return Object::make(text);
-    default:
-      throw Error("soapcall: cannot build '" + type.name +
-                  "' parameters from the command line");
-  }
+Object parse_value(const reflect::TypeInfo& type, std::string text) {
+  if (!type.ops)
+    throw Error("soapcall: cannot build '" + type.name +
+                "' parameters from the command line");
+  std::shared_ptr<void> value = type.construct();
+  type.ops->parse_text(text, value.get());
+  return Object(std::move(value), &type);
 }
 
 int usage(const char* argv0) {

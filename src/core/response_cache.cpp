@@ -77,7 +77,7 @@ ResponseCache::LookupResult ResponseCache::lookup(const CacheKeyRef& key,
   Shard& shard = shard_for_hash(key.hash);
   const bool counted = mode != Lookup::Peek;
   if (counted && hot_enabled_.load(std::memory_order_acquire)) [[unlikely]]
-    offer_hot_key(shard, key.material);
+    offer_hot_key(shard, key);
   const Tick now = tick(clock_->now());
   LookupResult out;
   {
@@ -455,24 +455,27 @@ void ResponseCache::enable_hot_key_tracking(HotKeyOptions options) {
   hot_enabled_.store(true, std::memory_order_release);
 }
 
-void ResponseCache::offer_hot_key(Shard& shard, std::string_view material) {
+void ResponseCache::offer_hot_key(Shard& shard, const CacheKeyRef& key) {
   // Per-thread sampling: only every sample_every-th lookup pays the sketch
   // mutex + scan; the offer weight keeps estimates unbiased.
   thread_local std::uint32_t tick = 0;
   if (++tick < hot_options_.sample_every) return;
   tick = 0;
-  std::lock_guard lock(shard.hot->mu);
-  shard.hot->sketch.offer(material, hot_options_.sample_every);
+  HotStripe& stripe = shard.hot->stripes[util::thread_stripe()];
+  std::lock_guard lock(stripe.mu);
+  stripe.sketch.offer(key.hash, key.material, hot_options_.sample_every);
 }
 
 std::vector<obs::TopKSketch::HotKey> ResponseCache::hot_keys(
     std::size_t limit) const {
   if (!hot_enabled_.load(std::memory_order_acquire)) return {};
   std::vector<std::vector<obs::TopKSketch::HotKey>> parts;
-  parts.reserve(shards_.size());
+  parts.reserve(shards_.size() * util::kStripes);
   for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->hot->mu);
-    parts.push_back(shard->hot->sketch.entries());
+    for (HotStripe& stripe : shard->hot->stripes) {
+      std::lock_guard lock(stripe.mu);
+      parts.push_back(stripe.sketch.entries());
+    }
   }
   return obs::merge_topk(std::move(parts), limit);
 }

@@ -13,8 +13,9 @@
 // a hit must not serialize behind other hits.  Each shard is guarded by a
 // std::shared_mutex:
 //
-//   hit      shared_lock + relaxed CLOCK-mark store + atomic stat bump;
-//            no list splice, no allocation, no exclusive section.
+//   hit      shared_lock + relaxed CLOCK-mark store + a stat bump on the
+//            thread's own stripe; no list splice, no allocation, no
+//            exclusive section.
 //   expiry   a lock-free read of the entry's atomic expiry tick; an entry
 //            found expired is removed on a rare unique_lock slow path.
 //   store /  unique_lock; eviction sweeps a per-shard clock hand over a
@@ -34,6 +35,7 @@
 // hot-key offer), tabulated at the Lookup enum.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -49,6 +51,7 @@
 #include "core/stats.hpp"
 #include "obs/topk.hpp"
 #include "util/clock.hpp"
+#include "util/stripe.hpp"
 
 namespace wsc::cache {
 
@@ -243,8 +246,9 @@ class ResponseCache {
   bool hot_key_tracking_enabled() const noexcept {
     return hot_enabled_.load(std::memory_order_acquire);
   }
-  /// Per-shard sketches merged (shards see disjoint key streams, so the
-  /// merge is exact concatenation), sorted by count, truncated to `limit`.
+  /// Every shard's stripes merged: a key's stripes are summed (shards see
+  /// disjoint key streams, so across shards the merge is concatenation),
+  /// sorted by count, truncated to `limit`.
   std::vector<obs::TopKSketch::HotKey> hot_keys(std::size_t limit = 16) const;
 
  private:
@@ -283,12 +287,20 @@ class ResponseCache {
   using Map = std::unordered_map<CacheKey, Entry, CacheKey::Hasher,
                                  CacheKey::Eq>;
 
-  /// Per-shard hot-key sketch behind its own small mutex, separate from
-  /// the shard's shared_mutex so a sampled offer never holds up readers.
-  struct HotShard {
+  /// One of a shard's hot-key sketches behind its own small mutex,
+  /// separate from the shard's shared_mutex so an offer never holds up
+  /// readers.  Each thread offers to its util::thread_stripe() sketch, so
+  /// threads on different stripes never share a sketch's lock or lines.
+  struct alignas(64) HotStripe {
     std::mutex mu;
     obs::TopKSketch sketch;
-    explicit HotShard(std::size_t capacity) : sketch(capacity) {}
+  };
+  struct HotShard {
+    std::array<HotStripe, util::kStripes> stripes;
+    explicit HotShard(std::size_t capacity) {
+      for (HotStripe& stripe : stripes)
+        stripe.sketch = obs::TopKSketch(capacity);
+    }
   };
 
   /// Per-shard single-flight table behind its own mutex (defined in the
@@ -318,7 +330,7 @@ class ResponseCache {
   }
 
   /// Sampled hot-key offer; the caller has already checked hot_enabled_.
-  void offer_hot_key(Shard& shard, std::string_view material);
+  void offer_hot_key(Shard& shard, const CacheKeyRef& key);
 
   /// Common tail of complete_flight/fail_flight: erase the table entry (if
   /// it is still this flight), publish the outcome once, wake everyone.

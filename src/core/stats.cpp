@@ -19,8 +19,10 @@ std::string stats_json(const StatsSnapshot& s) {
 StatsSnapshot CacheStats::snapshot(std::uint64_t entries,
                                    std::uint64_t bytes) const {
   StatsSnapshot s;
-  for (std::size_t i = 0; i < kCacheCounterCount; ++i)
-    s.*kCacheFields[i].member = counters_[i].v.load(std::memory_order_relaxed);
+  for (const Stripe& stripe : stripes_)
+    for (std::size_t i = 0; i < kCacheCounterCount; ++i)
+      s.*kCacheFields[i].member +=
+          stripe.rows[i].load(std::memory_order_relaxed);
   s.entries = entries;
   s.bytes = bytes;
   return s;

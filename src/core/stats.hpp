@@ -4,13 +4,14 @@
 // generated from that table.
 //
 // Layout matters here: these counters are bumped from the cache's
-// contention-free hit path, where a single shared cache line would undo
+// contention-free hit path, where a line shared between cores would undo
 // the shared_mutex work — every hit on every core would still ping-pong
-// one line of atomics ("false sharing").  Each live counter therefore
-// owns a 64-byte cache line, and a bump is one relaxed fetch_add on a
-// slot chosen at compile time.  All increments and snapshot loads use
-// relaxed ordering consistently — they are monotonic tallies, not
-// synchronization points.
+// that line.  The counters are therefore kept in util::kStripes stripes,
+// each on cache lines of its own: a bump is one relaxed fetch_add on the
+// calling thread's stripe at a row chosen at compile time, and a snapshot
+// sums the stripes.  All increments and snapshot loads use relaxed
+// ordering consistently — they are monotonic tallies, not synchronization
+// points.
 #pragma once
 
 #include <array>
@@ -21,6 +22,7 @@
 #include <string_view>
 
 #include "obs/field_table.hpp"
+#include "util/stripe.hpp"
 
 namespace wsc::cache {
 
@@ -133,20 +135,22 @@ class CacheStats {
   };
 
   void add(Counter counter, std::uint64_t n = 1) {
-    counters_[counter.row].v.fetch_add(n, std::memory_order_relaxed);
+    stripes_[util::thread_stripe()].rows[counter.row].fetch_add(
+        n, std::memory_order_relaxed);
   }
 
+  /// The stripes summed, plus the two gauges.
   StatsSnapshot snapshot(std::uint64_t entries, std::uint64_t bytes) const;
 
  private:
-  /// One counter alone on its cache line.  (Not
+  /// Every counter row, on cache lines no other stripe uses.  (Not
   /// hardware_destructive_interference_size: GCC warns it is ABI-unstable
   /// across -mtune; 64 is right for every deployment target we have.)
-  struct alignas(64) Padded {
-    std::atomic<std::uint64_t> v{0};
+  struct alignas(64) Stripe {
+    std::array<std::atomic<std::uint64_t>, kCacheCounterCount> rows{};
   };
 
-  std::array<Padded, kCacheCounterCount> counters_;
+  std::array<Stripe, util::kStripes> stripes_;
 };
 
 }  // namespace wsc::cache

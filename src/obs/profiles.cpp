@@ -1,6 +1,8 @@
 #include "obs/profiles.hpp"
 
+#include <atomic>
 #include <cstdio>
+#include <utility>
 
 #include "util/json.hpp"
 
@@ -8,20 +10,30 @@ namespace wsc::obs {
 
 namespace {
 
-CostProfiles::LatencyStat latency_stat(const WindowedSummary& summary,
-                                       std::uint64_t now) {
+/// Registry ids start at 1: 0 marks an empty memo entry.
+std::atomic<std::uint64_t> g_next_registry_id{1};
+
+/// Rows one thread remembers; a thread hitting more rows than this
+/// re-finds the oldest under the registry mutex.
+constexpr std::size_t kHitMemoRows = 16;
+
+CostProfiles::LatencyStat latency_stat(const util::Histogram& life,
+                                       const util::Histogram& window) {
   CostProfiles::LatencyStat stat;
-  util::Histogram life = summary.snapshot();
   stat.count = life.count();
   stat.sum_ns = life.sum();
   stat.mean_ns = life.mean();
   stat.p50_ns = static_cast<double>(life.percentile(0.5));
   stat.p99_ns = static_cast<double>(life.percentile(0.99));
   stat.p999_ns = static_cast<double>(life.percentile(0.999));
-  util::Histogram window = summary.windowed_snapshot(now);
   stat.window_count = window.count();
   stat.window_p99_ns = static_cast<double>(window.percentile(0.99));
   return stat;
+}
+
+CostProfiles::LatencyStat latency_stat(const WindowedSummary& summary,
+                                       std::uint64_t now) {
+  return latency_stat(summary.snapshot(), summary.windowed_snapshot(now));
 }
 
 std::string num(double v) {
@@ -42,8 +54,20 @@ void append_latency(std::string& out, const char* name,
 
 }  // namespace
 
+CostProfiles::Cell::Cell(const WindowOptions& window)
+    : hit_stripes([&]<std::size_t... I>(std::index_sequence<I...>) {
+        return std::array<HitStripe, util::kStripes>{
+            ((void)I, HitStripe(window))...};
+      }(std::make_index_sequence<util::kStripes>())),
+      misses(window),
+      stale_serves(window),
+      store_ns(5, window),
+      deserialize_ns(5, window) {}
+
 CostProfiles::CostProfiles(WindowOptions window)
-    : window_(std::move(window)), window_label_(window_.span_label()) {}
+    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)),
+      window_(std::move(window)),
+      window_label_(window_.span_label()) {}
 
 CostProfiles::Cell& CostProfiles::cell_locked(
     std::string_view service, std::string_view operation,
@@ -53,6 +77,38 @@ CostProfiles::Cell& CostProfiles::cell_locked(
   if (it == cells_.end())
     it = cells_.emplace(key, std::make_unique<Cell>(window_)).first;
   return *it->second;
+}
+
+CostProfiles::HitStripe& CostProfiles::hit_stripe(const CallSample& call) {
+  // Keyed by the label text, never by its address: a label's storage can
+  // be freed and the address reused for another label.
+  struct Memo {
+    std::uint64_t registry = 0;
+    std::string service, operation, representation;
+    HitStripe* stripe = nullptr;
+  };
+  thread_local std::array<Memo, kHitMemoRows> memo;
+  thread_local std::size_t next_slot = 0;
+  for (const Memo& m : memo) {
+    if (m.registry == id_ && m.service == call.service &&
+        m.operation == call.operation &&
+        m.representation == call.representation)
+      return *m.stripe;
+  }
+  HitStripe* stripe;
+  {
+    std::lock_guard lock(mu_);
+    stripe = &cell_locked(call.service, call.operation, call.representation)
+                  .hit_stripes[util::thread_stripe()];
+  }
+  Memo& m = memo[next_slot];
+  next_slot = (next_slot + 1) % kHitMemoRows;
+  m.registry = id_;
+  m.service.assign(call.service);
+  m.operation.assign(call.operation);
+  m.representation.assign(call.representation);
+  m.stripe = stripe;
+  return *stripe;
 }
 
 void CostProfiles::record(const CallSample& call) {
@@ -68,13 +124,15 @@ void CostProfiles::record(const CallSample& call) {
   }
   // One window timestamp for every instrument this call feeds.
   const std::uint64_t now = window_.now ? window_.now() : now_ns();
+  if (call.outcome == Outcome::Hit) {
+    HitStripe& stripe = hit_stripe(call);
+    stripe.hits.inc(call.weight, now);
+    stripe.hit_ns.record(call.stage(Stage::Retrieve), now);
+    return;
+  }
   std::lock_guard lock(mu_);
   Cell& cell = cell_locked(call.service, call.operation, call.representation);
   switch (call.outcome) {
-    case Outcome::Hit:
-      cell.hits.inc(call.weight, now);
-      cell.hit_ns.record(call.stage(Stage::Retrieve), now);
-      return;
     case Outcome::Miss:
       cell.misses.inc(1, now);
       [[fallthrough]];
@@ -99,7 +157,7 @@ void CostProfiles::record_probe(std::string_view service,
                                 std::uint64_t bytes) {
   std::lock_guard lock(mu_);
   Cell& cell = cell_locked(service, operation, representation);
-  cell.hit_ns.record(hit_ns);
+  cell.hit_stripes[util::thread_stripe()].hit_ns.record(hit_ns);
   cell.store_ns.record(store_ns);
   if (bytes > 0) {
     cell.stored_entries += 1;
@@ -115,10 +173,15 @@ std::vector<CostProfiles::Row> CostProfiles::snapshot() const {
   for (const auto& [key, cell] : cells_) {
     Row row;
     std::tie(row.service, row.operation, row.representation) = key;
-    row.hits = cell->hits.value();
+    util::Histogram hit_life, hit_window;
+    for (const HitStripe& stripe : cell->hit_stripes) {
+      row.hits += stripe.hits.value();
+      row.window_hits += stripe.hits.windowed(now);
+      hit_life.merge(stripe.hit_ns.snapshot());
+      hit_window.merge(stripe.hit_ns.windowed_snapshot(now));
+    }
     row.misses = cell->misses.value();
     row.stale_serves = cell->stale_serves.value();
-    row.window_hits = cell->hits.windowed(now);
     row.window_misses = cell->misses.windowed(now);
     const std::uint64_t total = row.hits + row.misses;
     row.hit_ratio =
@@ -128,7 +191,7 @@ std::vector<CostProfiles::Row> CostProfiles::snapshot() const {
         wtotal ? static_cast<double>(row.window_hits) /
                      static_cast<double>(wtotal)
                : 0;
-    row.hit_ns = latency_stat(cell->hit_ns, now);
+    row.hit_ns = latency_stat(hit_life, hit_window);
     row.store_ns = latency_stat(cell->store_ns, now);
     row.deserialize_ns = latency_stat(cell->deserialize_ns, now);
     row.stored_entries = cell->stored_entries;

@@ -13,8 +13,17 @@
 // client samples hits — every Nth hit per thread is timed and weighs N, so
 // counters stay unbiased while the common hit pays only a thread-local
 // tick.  Misses are always sampled (the wire round trip dwarfs it).
+//
+// A hit, the only per-call feed, writes nothing another thread writes: a
+// row keeps its hit counter and hit summary in util::kStripes stripes,
+// each thread feeds its own stripe, and snapshot() sums the counts and
+// merges the histograms.  A thread finds its stripe through a per-thread
+// memo keyed by the registry's id and the label text, so the registry
+// mutex is taken only on the thread's first hit on a row.  Every other
+// feed takes the registry mutex.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -26,6 +35,7 @@
 
 #include "obs/trace.hpp"
 #include "obs/windowed.hpp"
+#include "util/stripe.hpp"
 
 namespace wsc::obs {
 
@@ -92,27 +102,34 @@ class CostProfiles {
   const std::string& window_label() const noexcept { return window_label_; }
 
  private:
-  struct Cell {
-    explicit Cell(const WindowOptions& window)
-        : hits(window),
-          misses(window),
-          stale_serves(window),
-          hit_ns(5, window),
-          store_ns(5, window),
-          deserialize_ns(5, window) {}
+  /// A row's hit instruments for the threads of one stripe, on cache
+  /// lines of their own.
+  struct alignas(64) HitStripe {
+    explicit HitStripe(const WindowOptions& window)
+        : hits(window), hit_ns(5, window) {}
     WindowedCounter hits;
+    WindowedSummary hit_ns;
+  };
+
+  struct Cell {
+    explicit Cell(const WindowOptions& window);
+    std::array<HitStripe, util::kStripes> hit_stripes;
     WindowedCounter misses;
     WindowedCounter stale_serves;
-    WindowedSummary hit_ns;
     WindowedSummary store_ns;
     WindowedSummary deserialize_ns;
     std::uint64_t stored_entries = 0;  // guarded by the registry mutex
     std::uint64_t bytes_sum = 0;
   };
 
+  /// This thread's hit stripe of `call`'s row (created if need be).
+  HitStripe& hit_stripe(const CallSample& call);
+
   Cell& cell_locked(std::string_view service, std::string_view operation,
                     std::string_view representation);
 
+  /// Never reused, so a memo entry of a destroyed registry never matches.
+  const std::uint64_t id_;
   WindowOptions window_;
   std::string window_label_;
   mutable std::mutex mu_;

@@ -11,9 +11,10 @@
 //   * count - error <= true_count <= count for every tracked key, and
 //   * every key with true_count > W / capacity is present in the table.
 //
-// The sketch is NOT thread-safe; the response cache keeps one per shard
-// behind the shard's own small mutex (shards see disjoint key streams, so
-// a scrape merges per-shard tables exactly by summing).
+// The sketch is NOT thread-safe; the response cache keeps util::kStripes
+// of them per shard, each behind its own small mutex, and a lookup offers
+// to its thread's stripe.  A scrape sums a key's stripes (merge_topk);
+// shards see disjoint key streams, so across shards the merge is exact.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +32,17 @@ class TopKSketch {
     std::uint64_t error = 0;  // worst-case overestimate inherited on entry
   };
 
+  /// Allocates nothing until the first offer.
   explicit TopKSketch(std::size_t capacity = 64)
-      : capacity_(capacity ? capacity : 1) {
-    entries_.reserve(capacity_);
-  }
+      : capacity_(capacity ? capacity : 1) {}
 
-  /// Count one observation of `key` with the given weight (sampled feeds
+  /// Count one observation of `key`, whose 64-bit hash is `hash` (any
+  /// hash, as long as one key always comes with the same one: the scan
+  /// compares hashes before bytes), with the given weight (sampled feeds
   /// pass the sampling period as the weight so estimates stay unbiased).
+  void offer(std::uint64_t hash, std::string_view key,
+             std::uint64_t weight = 1);
+  /// The same, hashing `key` with FNV-1a.
   void offer(std::string_view key, std::uint64_t weight = 1);
 
   /// Tracked entries sorted by descending count estimate.
@@ -49,14 +54,20 @@ class TopKSketch {
 
  private:
   std::size_t capacity_;
-  std::vector<HotKey> entries_;  // unsorted; linear scan (capacity is small)
+  // Unsorted, scanned linearly (capacity is small).  hashes_[i] is the
+  // hash of entries_[i].key, kept apart so the scan reads 8 bytes a key.
+  std::vector<std::uint64_t> hashes_;
+  std::vector<HotKey> entries_;
   std::uint64_t observed_ = 0;
 };
 
-/// Merge per-shard tables over DISJOINT key streams (one key hashes to
-/// exactly one cache shard, so a key appears in at most one part and the
-/// merge is exact concatenation), sorted by descending count, truncated to
-/// `limit` (0 = no limit).
+/// Merge tables into one list sorted by descending count, truncated to
+/// `limit` (0 = no limit).  The stripes of one cache shard can each track
+/// the same key, so a key's parts are summed first (counts and errors
+/// alike: the sum keeps count - error <= true count, and is exact while no
+/// stripe has replaced an entry).  Different shards see disjoint key
+/// streams (one key hashes to exactly one shard), so across shards the
+/// merge is exact concatenation.
 std::vector<TopKSketch::HotKey> merge_topk(
     std::vector<std::vector<TopKSketch::HotKey>> parts, std::size_t limit = 0);
 

@@ -66,7 +66,7 @@ void WindowedSummary::record(std::uint64_t value, std::uint64_t now_ns) {
   Slot& slot = slots_[epoch % slots_.size()];
   if (slot.epoch != epoch) {
     slot.epoch = epoch;
-    slot.hist = util::Histogram(sub_bits_);  // lazy rotation
+    slot.hist.reset();  // lazy rotation, in place: no allocation
   }
   slot.hist.record(value);
 }

@@ -89,7 +89,10 @@ class WindowedCounter {
 
 /// Latency distribution with an exact lifetime histogram and an exact
 /// rolling-window histogram (both behind the instrument's one mutex, as
-/// the pre-windowed Summary already was).
+/// the pre-windowed Summary already was).  Each histogram allocates its
+/// buckets at its first sample and a rotated slot is zeroed in place, so
+/// an idle summary owns no bucket arrays and a warm record() allocates
+/// nothing.
 class WindowedSummary {
  public:
   explicit WindowedSummary(int sub_bucket_bits = 5, WindowOptions options = {});

@@ -6,10 +6,19 @@
 
 namespace wsc::util {
 
-Histogram::Histogram(int sub_bucket_bits) : sub_bits_(sub_bucket_bits) {
+void Histogram::ensure_buckets() {
   // 64 power-of-two buckets x 2^sub_bits linear sub-buckets covers the full
   // uint64 range.
-  buckets_.assign(static_cast<std::size_t>(64) << sub_bits_, 0);
+  if (buckets_.empty()) [[unlikely]]
+    buckets_.assign(static_cast<std::size_t>(64) << sub_bits_, 0);
+}
+
+void Histogram::reset() {
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  count_ = 0;
+  sum_ = 0;
+  min_ = UINT64_MAX;
+  max_ = 0;
 }
 
 std::size_t Histogram::bucket_index(std::uint64_t value) const {
@@ -35,6 +44,7 @@ std::uint64_t Histogram::bucket_upper_bound(std::size_t index) const {
 }
 
 void Histogram::record(std::uint64_t value) {
+  ensure_buckets();
   std::size_t idx = bucket_index(value);
   if (idx >= buckets_.size()) idx = buckets_.size() - 1;
   ++buckets_[idx];
@@ -46,6 +56,7 @@ void Histogram::record(std::uint64_t value) {
 
 void Histogram::merge(const Histogram& other) {
   if (other.count_ == 0) return;
+  ensure_buckets();
   if (other.sub_bits_ == sub_bits_) {
     for (std::size_t i = 0; i < buckets_.size(); ++i)
       buckets_[i] += other.buckets_[i];

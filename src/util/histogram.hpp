@@ -3,6 +3,13 @@
 // Log-bucketed (HdrHistogram-style, base-2 with linear sub-buckets) so the
 // load generator records microsecond latencies with bounded memory and we
 // can report mean / p50 / p95 / p99 / max per run.
+//
+// The bucket array (64 << sub_bucket_bits counters, 16 KB at the default
+// 5 bits) is allocated whole on the first record() or non-empty merge(),
+// not at construction: telemetry keeps many histograms that may never see
+// a sample (per-stripe, per-window-slot), and an empty one owns no heap.
+// Once allocated it never grows or shrinks, so a warm record() never
+// allocates, and reset() zeroes it in place.
 #pragma once
 
 #include <chrono>
@@ -16,7 +23,10 @@ class Histogram {
  public:
   /// `sub_bucket_bits` linear sub-buckets per power-of-two bucket; 5 gives
   /// ~3% relative error, plenty for throughput plots.
-  explicit Histogram(int sub_bucket_bits = 5);
+  explicit Histogram(int sub_bucket_bits = 5) : sub_bits_(sub_bucket_bits) {}
+
+  /// Back to empty, keeping the bucket array (if any) for reuse.
+  void reset();
 
   void record(std::uint64_t value);
   void record(std::chrono::nanoseconds d) {
@@ -52,9 +62,11 @@ class Histogram {
  private:
   std::size_t bucket_index(std::uint64_t value) const;
   std::uint64_t bucket_upper_bound(std::size_t index) const;
+  /// Allocate the bucket array if this histogram has none yet.
+  void ensure_buckets();
 
   int sub_bits_;
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  // empty until the first sample
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = UINT64_MAX;

@@ -1,44 +1,54 @@
 #include "xml/escape.hpp"
 
+#include <array>
+
 #include "util/error.hpp"
 
 namespace wsc::xml {
 
 namespace {
 
-/// Append `s` to `out`, replacing each character `reference_for` maps to a
-/// non-null reference.  The runs between replacements are appended whole.
-template <typename ReferenceFor>
+/// The character references the escapers emit.  An escape table maps
+/// each byte to 0 (copied verbatim) or to 1 + its reference's index here.
+constexpr std::array<std::string_view, 7> kReferences = {
+    "&amp;", "&lt;", "&gt;", "&quot;", "&#10;", "&#9;", "&#13;"};
+
+using EscapeTable = std::array<std::uint8_t, 256>;
+
+constexpr EscapeTable make_escape_table(bool attribute) {
+  EscapeTable table{};
+  table['&'] = 1;
+  table['<'] = 2;
+  table['>'] = 3;
+  if (attribute) {
+    // Attribute-value normalization would turn raw newline, tab and CR
+    // into spaces, so they travel as character references.
+    table['"'] = 4;
+    table['\n'] = 5;
+    table['\t'] = 6;
+    table['\r'] = 7;
+  }
+  return table;
+}
+
+constexpr EscapeTable kTextEscapes = make_escape_table(false);
+constexpr EscapeTable kAttributeEscapes = make_escape_table(true);
+
+/// Append `s` to `out`, replacing each byte `table` maps to a reference.
+/// The runs between replacements are appended whole.
 void append_escaped(std::string& out, std::string_view s,
-                    ReferenceFor reference_for) {
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char* ref = reference_for(s[i]);
-    if (!ref) continue;
-    out.append(s.data() + run, i - run);
-    out.append(ref);
-    run = i + 1;
+                    const EscapeTable& table) {
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const std::uint8_t ref = table[static_cast<unsigned char>(*p)];
+    if (ref == 0) [[likely]]
+      continue;
+    out.append(run, static_cast<std::size_t>(p - run));
+    out.append(kReferences[ref - 1]);
+    run = p + 1;
   }
-  out.append(s.data() + run, s.size() - run);
-}
-
-const char* text_reference(char c) {
-  switch (c) {
-    case '&': return "&amp;";
-    case '<': return "&lt;";
-    case '>': return "&gt;";
-    default: return nullptr;
-  }
-}
-
-const char* attribute_reference(char c) {
-  switch (c) {
-    case '"': return "&quot;";
-    case '\n': return "&#10;";
-    case '\t': return "&#9;";
-    case '\r': return "&#13;";
-    default: return text_reference(c);
-  }
+  out.append(run, static_cast<std::size_t>(end - run));
 }
 
 [[noreturn]] void reference_error(const std::string& msg, std::size_t offset) {
@@ -48,11 +58,11 @@ const char* attribute_reference(char c) {
 }  // namespace
 
 void append_escaped_text(std::string& out, std::string_view s) {
-  append_escaped(out, s, text_reference);
+  append_escaped(out, s, kTextEscapes);
 }
 
 void append_escaped_attribute(std::string& out, std::string_view s) {
-  append_escaped(out, s, attribute_reference);
+  append_escaped(out, s, kAttributeEscapes);
 }
 
 std::string escape_text(std::string_view s) {

@@ -5,11 +5,14 @@
 // built for this call instead of copying it again — while every caller
 // still owns its result: mutating it never reaches the cache, and a
 // pass-by-reference entry the cache shares is copied, never moved from.
-// The hammer gives TSan (ctest -L hitpath under the tsan preset) typed
-// hits racing the invalidation and re-store of a shared entry.
+// The hammers give TSan (ctest -L hitpath under the tsan preset) typed
+// hits racing the invalidation and re-store of a shared entry, and hits
+// racing the scrapes that merge the striped hit bookkeeping.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -40,10 +43,12 @@ struct Stack {
 
   /// Every operation uses `representation` where Table 3 allows it and
   /// Auto elsewhere (a byte page has no generated clone).
-  explicit Stack(Representation representation) {
+  explicit Stack(Representation representation,
+                 std::shared_ptr<cache::ResponseCache> response_cache =
+                     std::make_shared<cache::ResponseCache>(),
+                 cache::CachingServiceClient::Options options = {}) {
     auto transport = std::make_shared<transport::InProcessTransport>();
     transport->bind(kEndpoint, make_google_service(backend));
-    cache::CachingServiceClient::Options options;
     for (const wsdl::OperationInfo& op : google_description()->operations()) {
       const bool fits =
           cache::applicable(representation, *op.result_type, false);
@@ -51,8 +56,7 @@ struct Stack {
                                fits ? representation : Representation::Auto);
     }
     client = std::make_unique<GoogleClient>(
-        transport, kEndpoint, std::make_shared<cache::ResponseCache>(),
-        options);
+        transport, kEndpoint, std::move(response_cache), options);
   }
 
   /// The parameter list GoogleClient::doGoogleSearch(q) builds.
@@ -112,9 +116,10 @@ TEST(TypedHitTest, StubHitAllocatesNoMoreThanMiddlewareHit) {
 }
 
 /// Allocations of one warm Reference-representation hit, with or without a
-/// cost profile fed at period 1.  The profile's window clock is pinned, so
-/// no bucket rotation lands inside the measurement.
-std::size_t reference_hit_allocs(bool profiled) {
+/// cost profile fed at period 1, and with or without hot-key tracking on
+/// every lookup.  The profile's window clock is pinned, so no bucket
+/// rotation lands inside the measurement.
+std::size_t reference_hit_allocs(bool profiled, bool hot_keys = false) {
   auto transport = std::make_shared<transport::InProcessTransport>();
   transport->bind(kEndpoint,
                   make_google_service(std::make_shared<GoogleBackend>()));
@@ -131,10 +136,11 @@ std::size_t reference_hit_allocs(bool profiled) {
     options.profiles = std::make_shared<obs::CostProfiles>(window);
     options.profile_sample_every = 1;
   }
+  auto table = std::make_shared<cache::ResponseCache>();
+  if (hot_keys)
+    table->enable_hot_key_tracking({/*capacity=*/64, /*sample_every=*/1});
   cache::CachingServiceClient client(transport, google_description(),
-                                     kEndpoint,
-                                     std::make_shared<cache::ResponseCache>(),
-                                     options);
+                                     kEndpoint, table, options);
   const std::vector<Parameter> params = Stack::search_params("profiled");
   client.invoke("doGoogleSearch", params);  // miss + store (+ profile row)
   client.invoke("doGoogleSearch", params);  // warm hit
@@ -150,6 +156,14 @@ TEST(TypedHitTest, ProfiledHitAllocatesNoMoreThanUnprofiledHit) {
   const std::size_t plain = reference_hit_allocs(/*profiled=*/false);
   EXPECT_EQ(reference_hit_allocs(/*profiled=*/true), plain)
       << "feeding an existing cost-profile row allocated";
+}
+
+TEST(TypedHitTest, HitWithPortalTelemetryAllocatesAsOftenAsPlainHit) {
+  // The portal's configuration: profiles fed every call, every lookup
+  // offered to the hot-key sketches.
+  const std::size_t plain = reference_hit_allocs(/*profiled=*/false);
+  EXPECT_EQ(reference_hit_allocs(/*profiled=*/true, /*hot_keys=*/true), plain)
+      << "a warm hit's profile or hot-key bookkeeping allocated";
 }
 
 class TypedHitIsolation : public ::testing::TestWithParam<Representation> {};
@@ -242,6 +256,106 @@ TEST(TypedHitHammerTest, TypedHitsRaceInvalidationOfASharedEntry) {
 
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_EQ(s.client->doSpellingSuggestion(phrase), expected);
+}
+
+// Every per-hit write (CacheStats, hot-key sketches, profile hit rows)
+// lands in the writing thread's stripe and the scrapes merge the stripes,
+// so with the portal's telemetry on the merged figures count every hit
+// exactly, while scrapes race the writers.
+TEST(TypedHitHammerTest, StripedTelemetryCountsEveryHitExactly) {
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 600;
+  constexpr int kQueries = 24;  // 48 keys over 4 shards: every shard has some
+  auto table = std::make_shared<cache::ResponseCache>(
+      cache::ResponseCache::Config{.shards = 4});
+  table->enable_hot_key_tracking({/*capacity=*/64, /*sample_every=*/1});
+  auto profiles = std::make_shared<obs::CostProfiles>();
+  cache::CachingServiceClient::Options options;
+  options.profiles = profiles;
+  options.profile_sample_every = 1;
+  Stack s(Representation::ReflectionCopy, table, options);
+
+  // "#" ends each token, so no query is a prefix of another in a key.
+  std::vector<std::string> queries;
+  for (int q = 0; q < kQueries; ++q)
+    queries.push_back("stripe-" + std::to_string(q) + "#");
+  for (const std::string& q : queries) {
+    s.client->doGoogleSearch(q);
+    s.client->doSpellingSuggestion(q);
+  }
+  const std::uint64_t warm_hits = table->stats().hits;
+  // A key's hot count before the hammer: its warm-up lookups.
+  std::map<std::string, std::uint64_t> before;
+  for (const auto& h : table->hot_keys(0)) before[h.key] = h.count;
+  ASSERT_EQ(before.size(), 2u * kQueries);
+
+  // calls[t][op][q]: thread t's hits on operation op (0 = search) and q.
+  std::vector<std::array<std::vector<std::uint64_t>, 2>> calls(kThreads);
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      (void)table->stats();
+      (void)table->hot_keys(0);
+      (void)profiles->snapshot();
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto& mine = calls[t];
+      mine[0].assign(kQueries, 0);
+      mine[1].assign(kQueries, 0);
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        const int q = (t * 7 + i * 5) % kQueries;
+        const int op = (i + t) % 2;
+        if (op == 0) {
+          s.client->doGoogleSearch(queries[q]);
+        } else {
+          s.client->doSpellingSuggestion(queries[q]);
+        }
+        ++mine[op][q];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  done.store(true);
+  scraper.join();
+
+  std::uint64_t op_calls[2] = {0, 0};
+  std::map<std::string, std::uint64_t> key_calls;  // "<op>/<query>"
+  for (const auto& mine : calls) {
+    for (int op = 0; op < 2; ++op) {
+      for (int q = 0; q < kQueries; ++q) {
+        op_calls[op] += mine[op][q];
+        key_calls[std::to_string(op) + "/" + queries[q]] += mine[op][q];
+      }
+    }
+  }
+  const std::uint64_t total = std::uint64_t{kThreads} * kCallsPerThread;
+
+  EXPECT_EQ(table->stats().hits - warm_hits, total);
+
+  const std::vector<obs::CostProfiles::Row> rows = profiles->snapshot();
+  ASSERT_EQ(rows.size(), 2u);
+  for (const obs::CostProfiles::Row& row : rows) {
+    const int op = row.operation == "doGoogleSearch" ? 0 : 1;
+    EXPECT_EQ(row.hits, op_calls[op]) << row.operation;
+    EXPECT_EQ(row.hit_ns.count, op_calls[op]) << row.operation;
+  }
+
+  const std::vector<obs::TopKSketch::HotKey> hot = table->hot_keys(0);
+  ASSERT_EQ(hot.size(), 2u * kQueries);
+  for (const obs::TopKSketch::HotKey& h : hot) {
+    const int op = h.key.find("|doGoogleSearch|") != std::string::npos ? 0 : 1;
+    const std::size_t at = h.key.find("stripe-");
+    ASSERT_NE(at, std::string::npos) << h.key;
+    const std::string query =
+        h.key.substr(at, h.key.find('#', at) - at + 1);
+    EXPECT_EQ(h.count - before.at(h.key),
+              key_calls.at(std::to_string(op) + "/" + query))
+        << h.key;
+    EXPECT_EQ(h.error, 0u) << "no stripe should have replaced an entry";
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -102,6 +103,51 @@ TEST(CostProfilesTest, SampledHitWeightKeepsRatiosUnbiased) {
   EXPECT_EQ(rows[0].hits, 64u);         // weighted count
   EXPECT_EQ(rows[0].hit_ns.count, 1u);  // one latency sample
   EXPECT_DOUBLE_EQ(rows[0].hit_ratio, 64.0 / 65.0);
+}
+
+TEST(CostProfilesTest, HitRowsAreFoundByLabelTextNotAddress) {
+  CostProfiles profiles;
+  char label[] = "alpha";
+  obs::CallSample c = hit("XML message", 100);
+  c.operation = std::string_view(label);
+  profiles.record(c);
+  std::memcpy(label, "omega", 5);  // same address, another operation
+  profiles.record(c);
+  profiles.record(c);
+  std::vector<CostProfiles::Row> rows = profiles.snapshot();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].operation, "alpha");
+  EXPECT_EQ(rows[0].hits, 1u);
+  EXPECT_EQ(rows[1].operation, "omega");
+  EXPECT_EQ(rows[1].hits, 2u);
+  EXPECT_EQ(rows[1].hit_ns.count, 2u);
+}
+
+TEST(CostProfilesTest, ANewRegistryNeverSeesAnEarlierRegistrysHitRows) {
+  // Each registry may reuse its predecessor's address; this thread's
+  // remembered rows of the dead one must never be fed again.
+  for (int i = 0; i < 4; ++i) {
+    auto profiles = std::make_unique<CostProfiles>();
+    profiles->record(hit("XML message", 100));
+    std::vector<CostProfiles::Row> rows = profiles->snapshot();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].hits, 1u) << "registry " << i;
+  }
+}
+
+TEST(CostProfilesTest, HitsOnManyRowsFromOneThreadStayExact) {
+  // More rows than one thread remembers: forgotten rows are found again.
+  CostProfiles profiles;
+  std::vector<std::string> reps;
+  for (int r = 0; r < 40; ++r) reps.push_back("rep" + std::to_string(r));
+  for (int lap = 0; lap < 3; ++lap)
+    for (const std::string& rep : reps) profiles.record(hit(rep, 100));
+  std::vector<CostProfiles::Row> rows = profiles.snapshot();
+  ASSERT_EQ(rows.size(), reps.size());
+  for (const CostProfiles::Row& row : rows) {
+    EXPECT_EQ(row.hits, 3u) << row.representation;
+    EXPECT_EQ(row.hit_ns.count, 3u) << row.representation;
+  }
 }
 
 TEST(CostProfilesTest, JsonRowsParse) {

@@ -85,5 +85,36 @@ TEST(TopKSketchTest, MergeDisjointShardsSortsAndTruncates) {
   EXPECT_EQ(merged[2].key, "beta");
 }
 
+TEST(TopKSketchTest, EqualHashesWithDifferentKeysStayApart) {
+  TopKSketch sketch(4);
+  sketch.offer(42, "left");
+  sketch.offer(42, "right");
+  sketch.offer(42, "left");
+  std::vector<TopKSketch::HotKey> entries = sketch.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].key, "left");
+  EXPECT_EQ(entries[0].count, 2u);
+  EXPECT_EQ(entries[1].key, "right");
+  EXPECT_EQ(entries[1].count, 1u);
+}
+
+TEST(TopKSketchTest, MergeSumsAKeyAcrossStripes) {
+  // Stripes of one shard may each track a key: its parts add up, and so
+  // do the overestimates they inherited.
+  TopKSketch a(2), b(1);
+  a.offer("hot", 5);
+  a.offer("cold", 1);
+  b.offer("gone", 3);
+  b.offer("hot", 2);  // replaces "gone": count 5, error 3
+  std::vector<TopKSketch::HotKey> merged =
+      merge_topk({a.entries(), b.entries()});
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged[0].key, "hot");
+  EXPECT_EQ(merged[0].count, 10u);
+  EXPECT_EQ(merged[0].error, 3u);
+  EXPECT_EQ(merged[1].key, "cold");
+  EXPECT_EQ(merged[1].count, 1u);
+}
+
 }  // namespace
 }  // namespace wsc::obs

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/promcheck.hpp"
+#include "tests/core/alloc_counter.hpp"
 
 namespace wsc::obs {
 namespace {
@@ -118,6 +119,23 @@ TEST(WindowedSummaryTest, SlotReuseAfterWrapIsClean) {
   EXPECT_EQ(window.count(), 1u);
   // The reclaimed slot must not leak the old 1ms sample into the window.
   EXPECT_LE(window.percentile(0.999), 16u);
+}
+
+TEST(WindowedSummaryTest, RotationReusesSlotsWithoutAllocating) {
+  std::uint64_t now = 0;
+  WindowedSummary s{5, manual_window(&now)};
+  for (int sec = 0; sec < 4; ++sec) {  // every slot has seen a sample
+    now = sec * kSec;
+    s.record(100);
+  }
+  wsc::testing::arm_alloc_counter();
+  for (int sec = 4; sec < 40; ++sec) {  // nine laps of the ring
+    now = sec * kSec;
+    s.record(100 + sec);
+  }
+  EXPECT_EQ(wsc::testing::disarm_alloc_counter(), 0u);
+  EXPECT_EQ(s.windowed_snapshot().count(), 4u);
+  EXPECT_EQ(s.snapshot().count(), 40u);
 }
 
 TEST(WindowedRegistryTest, ExportsWindowedTwinsAndP999) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <vector>
+
+#include "tests/core/alloc_counter.hpp"
 #include "util/random.hpp"
 
 namespace wsc::util {
@@ -165,6 +170,176 @@ TEST(HistogramTest, LargeValuesDoNotCrash) {
   h.record(UINT64_MAX / 2);
   EXPECT_EQ(h.count(), 2u);
   EXPECT_GE(h.percentile(1.0), UINT64_MAX / 2);
+}
+
+/// The histogram with every bucket counter allocated and zeroed at
+/// construction, written out independently: the lazily allocated
+/// Histogram must answer exactly what this reference answers.
+class EagerReference {
+ public:
+  explicit EagerReference(int bits)
+      : bits_(bits), buckets_(std::size_t{64} << bits, 0) {}
+
+  void record(std::uint64_t v) {
+    ++buckets_[index(v)];
+    ++count_;
+    sum_ += v;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+  }
+
+  void merge(const EagerReference& o) {
+    if (o.count_ == 0) return;
+    for (std::size_t i = 0; i < o.buckets_.size(); ++i)
+      if (o.buckets_[i]) buckets_[index(o.upper(i))] += o.buckets_[i];
+    count_ += o.count_;
+    sum_ += o.sum_;
+    min_ = std::min(min_, o.min_);
+    max_ = std::max(max_, o.max_);
+  }
+
+  std::uint64_t percentile(double q) const {
+    if (count_ == 0) return 0;
+    if (q >= 1.0) return max_;
+    auto target = static_cast<std::uint64_t>(q * static_cast<double>(count_));
+    target = std::min(target, count_ - 1);
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      seen += buckets_[i];
+      if (seen > target) return std::clamp(upper(i), min_, max_);
+    }
+    return max_;
+  }
+
+  std::uint64_t count() const { return count_; }
+  std::uint64_t sum() const { return sum_; }
+  std::uint64_t min() const { return count_ ? min_ : 0; }
+  std::uint64_t max() const { return max_; }
+
+ private:
+  std::size_t index(std::uint64_t v) const {
+    const std::uint64_t exact = std::uint64_t{1} << bits_;
+    if (v < exact) return static_cast<std::size_t>(v);
+    const int shift = std::bit_width(v) - 1 - bits_;
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(shift + 1) << bits_) + (v >> shift) -
+        exact);
+  }
+  std::uint64_t upper(std::size_t i) const {
+    const std::uint64_t exact = std::uint64_t{1} << bits_;
+    if (i < exact) return i;
+    const std::uint64_t shift = (i >> bits_) - 1;
+    const std::uint64_t sub = (i & (exact - 1)) + exact;
+    return ((sub + 1) << shift) - 1;
+  }
+
+  int bits_;
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0, sum_ = 0, min_ = UINT64_MAX, max_ = 0;
+};
+
+void expect_same(const Histogram& h, const EagerReference& ref,
+                 const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(h.count(), ref.count());
+  EXPECT_EQ(h.sum(), ref.sum());
+  EXPECT_EQ(h.min(), ref.min());
+  EXPECT_EQ(h.max(), ref.max());
+  for (double q : {0.0, 0.5, 0.99, 0.999, 1.0})
+    EXPECT_EQ(h.percentile(q), ref.percentile(q)) << "q=" << q;
+}
+
+/// `n` seeded values spread over many magnitudes (below 2^48, so sums
+/// stay far from wrapping).
+std::vector<std::uint64_t> spread_values(std::uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < n; ++i)
+    values.push_back((rng.next_u64() >> 16) >> rng.next_below(48));
+  return values;
+}
+
+TEST(HistogramLazyTest, AnswersExactlyAsAnEagerlySizedReference) {
+  for (int bits : {3, 5}) {
+    Histogram h(bits);
+    EagerReference ref(bits);
+    expect_same(h, ref, "empty");
+    for (std::uint64_t v : spread_values(11, 5000)) {
+      h.record(v);
+      ref.record(v);
+    }
+    expect_same(h, ref, bits == 3 ? "3 bits" : "5 bits");
+
+    // A reset histogram (a rotated window slot) records like a new one.
+    Histogram reused(bits);
+    for (std::uint64_t v : spread_values(99, 300)) reused.record(v);
+    reused.reset();
+    expect_same(reused, EagerReference(bits), "reset");
+    for (std::uint64_t v : spread_values(11, 5000)) reused.record(v);
+    expect_same(reused, ref, "recorded after reset");
+  }
+}
+
+TEST(HistogramLazyTest, MergesExactlyAsAnEagerlySizedReference) {
+  const std::vector<std::uint64_t> a_values = spread_values(21, 3000);
+  const std::vector<std::uint64_t> b_values = spread_values(22, 2000);
+  for (int into_bits : {3, 5}) {
+    for (int from_bits : {3, 5}) {
+      Histogram a(into_bits), b(from_bits);
+      EagerReference ra(into_bits), rb(from_bits);
+      for (std::uint64_t v : a_values) {
+        a.record(v);
+        ra.record(v);
+      }
+      for (std::uint64_t v : b_values) {
+        b.record(v);
+        rb.record(v);
+      }
+      SCOPED_TRACE(std::to_string(from_bits) + " bits into " +
+                   std::to_string(into_bits) + " bits");
+
+      Histogram full = a;  // full into full
+      EagerReference rfull = ra;
+      full.merge(b);
+      rfull.merge(rb);
+      expect_same(full, rfull, "full into full");
+
+      Histogram still_full = a;  // empty into full
+      still_full.merge(Histogram(from_bits));
+      expect_same(still_full, ra, "empty into full");
+
+      Histogram was_empty(into_bits);  // full into empty
+      EagerReference rwas_empty(into_bits);
+      was_empty.merge(b);
+      rwas_empty.merge(rb);
+      expect_same(was_empty, rwas_empty, "full into empty");
+    }
+  }
+}
+
+TEST(HistogramLazyTest, NeverRecordedHistogramOwnsNoHeap) {
+  wsc::testing::arm_alloc_counter();
+  {
+    Histogram h, coarse(3);
+    Histogram copy = h;
+    h.merge(coarse);  // an empty merge allocates nothing either
+    h.merge(copy);
+    h.reset();
+    EXPECT_EQ(h.percentile(0.5), 0u);
+  }
+  EXPECT_EQ(wsc::testing::disarm_alloc_counter(), 0u);
+}
+
+TEST(HistogramLazyTest, ResetKeepsTheBucketsForTheNextRecord) {
+  Histogram h;
+  h.record(7);
+  wsc::testing::arm_alloc_counter();
+  h.reset();
+  h.record(9);
+  h.record(std::uint64_t{1} << 40);
+  EXPECT_EQ(wsc::testing::disarm_alloc_counter(), 0u);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.min(), 9u);
 }
 
 }  // namespace

@@ -10,10 +10,14 @@
 // ("the size of the object is not very different for the different data
 // representations").
 //
-// Beyond the paper: the "SAX events sequence" row reports the compact
-// arena recording the cache stores, under the honest memory_size()
-// accounting.  All rows are also written to BENCH_table9.json
-// (row -> bytes_per_entry) for cross-PR tracking.
+// The "Java object" row and, beyond the paper, the "SAX events sequence"
+// row (the compact arena recording the cache stores) are billed by the
+// one footprint rule of util/mem_footprint.hpp: inline bytes plus every
+// owned heap block at its requested size plus 16 B, which
+// tests/core/footprint_allocator_test.cpp checks against the allocator.
+// The XML and serialized rows are payload sizes.  All rows are also
+// written to BENCH_table9.json (row -> bytes_per_entry) for cross-PR
+// tracking.
 #include <cstdio>
 
 #include "bench/common.hpp"

@@ -25,6 +25,7 @@
 #include "core/representation.hpp"
 #include "soap/message.hpp"
 #include "util/hash.hpp"
+#include "util/mem_footprint.hpp"
 
 namespace wsc::cache {
 
@@ -51,9 +52,10 @@ class CacheKey {
   std::uint64_t hash() const noexcept { return hash_; }
   CacheKeyRef ref() const noexcept { return {material_, hash_}; }
 
-  /// Bytes held in the cache table per entry for this key (Table 8).
+  /// Bytes held in the cache table per entry for this key (Table 8): its
+  /// inline bytes, which sit in the table's node, plus its material block.
   std::size_t memory_size() const noexcept {
-    return material_.capacity() + sizeof(CacheKey);
+    return sizeof(CacheKey) + util::heap_footprint(material_);
   }
 
   bool operator==(const CacheKey& other) const noexcept {

@@ -4,6 +4,7 @@
 #include "reflect/serialize.hpp"
 #include "soap/deserializer.hpp"
 #include "util/error.hpp"
+#include "util/mem_footprint.hpp"
 
 namespace wsc::cache {
 
@@ -15,7 +16,8 @@ reflect::Object XmlMessageValue::retrieve() const {
 }
 
 std::size_t XmlMessageValue::memory_size() const {
-  return sizeof(*this) + source_.text().capacity();
+  return util::heap_block(sizeof(*this)) +
+         util::heap_footprint(source_.text());
 }
 
 // --- SaxEventsValue ----------------------------------------------------------
@@ -28,21 +30,23 @@ reflect::Object SaxEventsValue::retrieve() const {
 }
 
 std::size_t SaxEventsValue::memory_size() const {
-  return sizeof(*this) - sizeof(xml::CompactEventSequence) +
+  return util::heap_block(sizeof(*this)) - sizeof(events_) +
          events_.memory_size();
 }
 
 // --- SerializedValue ---------------------------------------------------------
 
 SerializedValue::SerializedValue(const reflect::Object& response)
-    : bytes_(reflect::serialize(response)) {}
+    : bytes_(reflect::serialize(response)) {
+  bytes_.shrink_to_fit();  // drop the serializer's growth slack
+}
 
 reflect::Object SerializedValue::retrieve() const {
   return reflect::deserialize(bytes_);
 }
 
 std::size_t SerializedValue::memory_size() const {
-  return sizeof(*this) + bytes_.capacity();
+  return util::heap_block(sizeof(*this)) + util::heap_footprint(bytes_);
 }
 
 // --- ReflectionCopyValue -----------------------------------------------------
@@ -66,7 +70,7 @@ reflect::Object ReflectionCopyValue::retrieve() const {
 }
 
 std::size_t ReflectionCopyValue::memory_size() const {
-  return sizeof(*this) + reflect::memory_size(stored_);
+  return util::heap_block(sizeof(*this)) + reflect::memory_size(stored_);
 }
 
 // --- CloneCopyValue ----------------------------------------------------------
@@ -79,13 +83,13 @@ reflect::Object CloneCopyValue::retrieve() const {
 }
 
 std::size_t CloneCopyValue::memory_size() const {
-  return sizeof(*this) + reflect::memory_size(stored_);
+  return util::heap_block(sizeof(*this)) + reflect::memory_size(stored_);
 }
 
 // --- ReferenceValue ----------------------------------------------------------
 
 std::size_t ReferenceValue::memory_size() const {
-  return sizeof(*this) + reflect::memory_size(stored_);
+  return util::heap_block(sizeof(*this)) + reflect::memory_size(stored_);
 }
 
 // --- factory -----------------------------------------------------------------

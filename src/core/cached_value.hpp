@@ -36,8 +36,8 @@ class CachedValue {
 
   virtual Representation representation() const = 0;
 
-  /// Approximate bytes held by this entry (Table 9 and the eviction
-  /// budget).
+  /// Bytes this value holds, its own heap block included, under
+  /// util/mem_footprint.hpp's rule (Table 9 and the eviction budget).
   virtual std::size_t memory_size() const = 0;
 };
 

@@ -422,7 +422,7 @@ CachingServiceClient::Fetched CachingServiceClient::fetch_and_store(
   // value (nothing stored) wakes them with NoValue to call on their own.
   if (guard) guard->complete(value);
   if (value && options_.profiles)
-    trace.set_entry_bytes(key.memory_size() + value->memory_size());
+    trace.set_entry_bytes(entry_bytes(key, *value));
   // Adaptive exploration: a sampled store also shadow-probes one
   // alternative representation from the same captured response.  After
   // the store and the flight completion, so probing never delays the
@@ -499,7 +499,7 @@ void CachingServiceClient::run_probe(const wsdl::OperationInfo& op,
     const std::uint64_t hit_ns = obs::now_ns() - hit_t0;
     profiles->record_probe(description_->name(), operation,
                            representation_name(probe), hit_ns, store_ns,
-                           key.memory_size() + value->memory_size());
+                           entry_bytes(key, *value));
   } catch (...) {
     // A probe must never fail the call it rides on; a failed probe is
     // simply a missing sample (the candidate scores as "no data").

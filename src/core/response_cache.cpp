@@ -154,7 +154,7 @@ void ResponseCache::store(const CacheKey& key,
     stats_.add(&StatsSnapshot::rejected_stores);
     return;
   }
-  std::size_t bytes = key.memory_size() + value->memory_size();
+  std::size_t bytes = entry_bytes(key, *value);
   Shard& shard = shard_for_hash(key.hash());
   const util::TimePoint now = clock_->now();
   std::size_t evicted = 0;

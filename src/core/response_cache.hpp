@@ -61,6 +61,13 @@ namespace wsc::cache {
 /// byte budget into homeopathic per-shard slices.
 std::size_t default_shard_count() noexcept;
 
+/// Bytes one entry charges its shard's budget: its key and its value, each
+/// billed by util/mem_footprint.hpp's rule.  store(), the profiles' entry
+/// bytes and the adaptive probes all read this one sum.
+inline std::size_t entry_bytes(const CacheKey& key, const CachedValue& value) {
+  return key.memory_size() + value.memory_size();
+}
+
 class ResponseCache {
  public:
   struct Config {

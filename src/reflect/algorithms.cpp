@@ -1,6 +1,7 @@
 #include "reflect/algorithms.hpp"
 
 #include "util/error.hpp"
+#include "util/mem_footprint.hpp"
 
 namespace wsc::reflect {
 
@@ -143,25 +144,31 @@ std::string to_string(const Object& obj) {
   return to_string(obj.type(), obj.data());
 }
 
-std::size_t memory_size(const TypeInfo& t, const void* value) {
-  std::size_t total = t.shallow_size;
-  if (t.ops) {
-    total += t.ops->owned_heap(value);
-  } else if (t.is_array()) {
-    std::size_t n = t.array_size(value);
-    for (std::size_t i = 0; i < n; ++i)
-      total += memory_size(*t.element, t.array_at(const_cast<void*>(value), i));
+namespace {
+
+/// Heap bytes `value` owns, excluding its own inline bytes.
+std::size_t heap_bytes(const TypeInfo& t, const void* value) {
+  if (t.ops) return t.ops->owned_heap(value);
+  std::size_t total = 0;
+  if (t.is_array()) {
+    total = t.array_heap(value);  // holds the elements' inline bytes
+    for (std::size_t i = 0, n = t.array_size(value); i < n; ++i)
+      total += heap_bytes(*t.element, t.array_at(const_cast<void*>(value), i));
   } else {
-    // Field storage is inside shallow_size; add only owned heap.
     for (const FieldInfo& f : t.fields)
-      total += memory_size(*f.type, f.at(value)) - f.type->shallow_size;
+      total += heap_bytes(*f.type, f.at(value));
   }
   return total;
 }
 
+}  // namespace
+
 std::size_t memory_size(const Object& obj) {
   if (obj.is_null()) return 0;
-  return memory_size(obj.type(), obj.data());
+  // The root lives in a std::make_shared block (construct(), clone_fn,
+  // Object::make).
+  return util::shared_block(obj.type().shallow_size) +
+         heap_bytes(obj.type(), obj.data());
 }
 
 }  // namespace wsc::reflect

@@ -58,10 +58,9 @@ void to_string_append(const Object& obj, std::string& out);
 void to_string_append(const TypeInfo& type, const void* value,
                       std::string& out);
 
-/// Deep in-memory footprint in bytes: shallow sizeof plus all owned heap
-/// (string/vector capacities, recursively).  Shared-ptr control blocks are
-/// charged once for the top-level object.
+/// Deep in-memory footprint in bytes under util/mem_footprint.hpp's rule:
+/// the root's own make_shared block plus every heap block it owns,
+/// recursively.
 std::size_t memory_size(const Object& obj);
-std::size_t memory_size(const TypeInfo& type, const void* value);
 
 }  // namespace wsc::reflect

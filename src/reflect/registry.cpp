@@ -4,6 +4,7 @@
 
 #include "util/base64.hpp"
 #include "util/byte_buffer.hpp"
+#include "util/mem_footprint.hpp"
 #include "util/strings.hpp"
 
 namespace wsc::reflect {
@@ -82,14 +83,6 @@ void decode(util::ByteReader& in, std::string& v) { v = in.read_string(); }
 void decode(util::ByteReader& in, Bytes& v) { v = in.read_bytes(); }
 
 template <typename T>
-std::size_t owned_heap(const T& v) {
-  if constexpr (requires { v.capacity(); })
-    return v.capacity();
-  else
-    return 0;
-}
-
-template <typename T>
 const T& as(const void* p) {
   return *static_cast<const T*>(p);
 }
@@ -110,7 +103,7 @@ constexpr PrimitiveOps primitive_row(const char* xsd_name, bool has_to_string) {
       [](std::string& text, void* dst) { parse_text(text, as<T>(dst)); },
       [](const void* v, util::ByteWriter& out) { encode(as<T>(v), out); },
       [](util::ByteReader& in, void* dst) { decode(in, as<T>(dst)); },
-      [](const void* v) { return owned_heap(as<T>(v)); },
+      [](const void* v) { return util::heap_footprint(as<T>(v)); },
       has_to_string,
       kIsString,
   };

@@ -23,6 +23,7 @@
 
 #include "reflect/type_info.hpp"
 #include "util/error.hpp"
+#include "util/mem_footprint.hpp"
 
 namespace wsc::reflect {
 
@@ -156,6 +157,9 @@ struct TypeOf<std::vector<T>> {
     };
     proto.array_resize = [](void* p, std::size_t n) {
       static_cast<std::vector<T>*>(p)->resize(n);
+    };
+    proto.array_heap = [](const void* p) {
+      return util::heap_footprint(*static_cast<const std::vector<T>*>(p));
     };
     return detail::register_array_type("ArrayOf" + elem.name, elem,
                                        std::move(proto));

@@ -77,7 +77,7 @@ struct PrimitiveOps {
   void (*parse_text)(std::string& text, void* dst);
   void (*encode)(const void* value, util::ByteWriter& out);
   void (*decode)(util::ByteReader& in, void* dst);
-  /// Heap bytes the value owns directly (string/bytes capacity, else 0).
+  /// Heap bytes the value owns directly (util::heap_footprint).
   std::size_t (*owned_heap)(const void* value);
   /// False for Bytes: Java's byte[].toString is the address-based
   /// Object.toString, so the text is no usable toString or cache key
@@ -136,6 +136,7 @@ class TypeInfo {
   std::size_t (*array_size)(const void*) = nullptr;
   void* (*array_at)(void*, std::size_t) = nullptr;
   void (*array_resize)(void*, std::size_t) = nullptr;
+  std::size_t (*array_heap)(const void*) = nullptr;  // util::heap_footprint
 
   bool is_struct() const noexcept { return kind == Kind::Struct; }
   bool is_array() const noexcept { return kind == Kind::Array; }

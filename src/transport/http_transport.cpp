@@ -1,8 +1,5 @@
 #include "transport/http_transport.hpp"
 
-#include <cstdio>
-
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace wsc::transport {
@@ -51,17 +48,10 @@ WireResponse HttpTransport::post(const util::Uri& endpoint,
   }
   request.body = wire_request.body;
 
+  // A round trip that throws drops the connection: one in an unknown state
+  // is never pooled.
   ConnPtr conn = acquire(endpoint.host, endpoint.effective_port());
-  http::Response response;
-  const bool timed = obs::tracer().enabled();
-  const std::uint64_t start = timed ? obs::now_ns() : 0;
-  try {
-    response = conn->round_trip(request);
-  } catch (...) {
-    // Do not pool a connection in an unknown state.
-    throw;
-  }
-  if (timed) roundtrip_ns_.record(obs::now_ns() - start);
+  http::Response response = conn->round_trip(request);
   release(std::move(conn));
 
   // SOAP/1.1 over HTTP: faults arrive as 500 with an envelope body, which
@@ -77,28 +67,6 @@ WireResponse HttpTransport::post(const util::Uri& endpoint,
   if (auto lm = response.headers.get("Last-Modified"))
     out.last_modified = http::parse_http_date(*lm);
   return out;
-}
-
-void register_http_metrics(obs::MetricsRegistry& registry,
-                           const HttpTransport& transport) {
-  registry.family("wsc_http_roundtrip_ns",
-                  "HTTP socket round-trip latency (traced runs only)",
-                  obs::MetricsRegistry::Kind::Summary);
-  registry.collector([&transport](std::vector<obs::Sample>& out) {
-    util::Histogram hist = transport.roundtrip_summary().snapshot();
-    for (double q : obs::MetricsRegistry::summary_quantiles()) {
-      char qs[32];
-      std::snprintf(qs, sizeof(qs), "%g", q);
-      out.push_back({"wsc_http_roundtrip_ns",
-                     {{"quantile", qs}},
-                     hist.count() ? static_cast<double>(hist.percentile(q))
-                                  : 0.0});
-    }
-    out.push_back(
-        {"wsc_http_roundtrip_ns_sum", {}, static_cast<double>(hist.sum())});
-    out.push_back(
-        {"wsc_http_roundtrip_ns_count", {}, static_cast<double>(hist.count())});
-  });
 }
 
 }  // namespace wsc::transport

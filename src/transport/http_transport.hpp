@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "http/client.hpp"
-#include "obs/metrics.hpp"
 #include "transport/transport.hpp"
 
 namespace wsc::transport {
@@ -32,13 +31,6 @@ class HttpTransport final : public Transport {
 
   const Options& options() const noexcept { return options_; }
 
-  /// Socket round-trip latency distribution (request write to response
-  /// parse, excluding retries/backoff above).  Only recorded while the
-  /// process tracer is enabled, so the untraced hot path stays clock-free.
-  const obs::Summary& roundtrip_summary() const noexcept {
-    return roundtrip_ns_;
-  }
-
  private:
   using ConnPtr = std::unique_ptr<http::HttpConnection>;
 
@@ -49,12 +41,6 @@ class HttpTransport final : public Transport {
   Options options_;
   std::mutex mu_;
   std::unordered_map<std::string, std::vector<ConnPtr>> idle_;
-  obs::Summary roundtrip_ns_;
 };
-
-/// Export wsc_http_roundtrip_ns (summary) from the transport's recorder.
-/// The transport must outlive the registry's exports.
-void register_http_metrics(obs::MetricsRegistry& registry,
-                           const HttpTransport& transport);
 
 }  // namespace wsc::transport

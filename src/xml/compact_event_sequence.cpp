@@ -10,8 +10,8 @@ namespace wsc::xml {
 namespace {
 
 std::size_t qname_heap(const QName& q) {
-  return util::string_footprint(q.uri) + util::string_footprint(q.local) +
-         util::string_footprint(q.raw);
+  return util::heap_footprint(q.uri) + util::heap_footprint(q.local) +
+         util::heap_footprint(q.raw);
 }
 
 }  // namespace
@@ -40,15 +40,15 @@ void CompactEventSequence::deliver(ContentHandler& handler) const {
 
 std::size_t CompactEventSequence::memory_size() const {
   std::size_t total = sizeof(*this);
-  total += util::string_footprint(arena_);
-  total += util::vector_footprint(events_);
-  total += util::vector_footprint(names_);
+  total += util::heap_footprint(arena_);
+  total += util::heap_footprint(events_);
+  total += util::heap_footprint(names_);
   for (const QName& q : names_) total += qname_heap(q);
-  total += util::vector_footprint(attr_lists_);
+  total += util::heap_footprint(attr_lists_);
   for (const Attributes& attrs : attr_lists_) {
-    total += util::vector_footprint(attrs);
+    total += util::heap_footprint(attrs);
     for (const Attribute& a : attrs)
-      total += qname_heap(a.name) + util::string_footprint(a.value);
+      total += qname_heap(a.name) + util::heap_footprint(a.value);
   }
   return total;
 }

@@ -9,8 +9,7 @@
 #include "bench/portal_figure.hpp"
 
 int main(int argc, char** argv) {
-  int requests = wsc::bench::figure_requests(argc, argv, 600);
-  wsc::bench::run_portal_figure(/*concurrency=*/1, requests, "Figure 3",
-                                wsc::bench::trace_requested(argc, argv));
-  return 0;
+  return wsc::bench::run_portal_figure(
+      /*connections=*/1, wsc::bench::quick_requested(argc, argv), "Figure 3",
+      wsc::bench::trace_requested(argc, argv));
 }

@@ -5,8 +5,7 @@
 #include "bench/portal_figure.hpp"
 
 int main(int argc, char** argv) {
-  int requests = wsc::bench::figure_requests(argc, argv, 1500);
-  wsc::bench::run_portal_figure(/*concurrency=*/25, requests, "Figure 4",
-                                wsc::bench::trace_requested(argc, argv));
-  return 0;
+  return wsc::bench::run_portal_figure(
+      /*connections=*/25, wsc::bench::quick_requested(argc, argv), "Figure 4",
+      wsc::bench::trace_requested(argc, argv));
 }

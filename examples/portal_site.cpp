@@ -1,10 +1,12 @@
 // Portal-site scenario (paper §5.2, Figure 2), live:
 //
-//   load simulator --HTTP--> portal site --SOAP/HTTP--> dummy Google WS
+//   http::run_load + portal::QueryMix --HTTP--> portal site --SOAP/HTTP-->
+//                                                    dummy Google WS
 //
-// Runs the full topology on loopback, sweeps the cache-hit ratio for a
-// chosen representation, and prints throughput / response-time lines like
-// the Figure 3 series.  Optionally serves the portal for manual browsing.
+// Runs the full topology on loopback, sweeps the cache-hit ratio with the
+// epoll load engine (4 closed-loop connections, a fixed window per point)
+// and prints throughput / response-time lines like the Figure 3 series.
+// Optionally serves the portal for manual browsing.
 //
 //   build/examples/portal_site                 # run the sweep and exit
 //   build/examples/portal_site --serve         # keep serving (ctrl-C quits)
@@ -17,8 +19,8 @@
 #include <cstring>
 #include <thread>
 
+#include "http/load_client.hpp"
 #include "http/server.hpp"
-#include "portal/load_sim.hpp"
 #include "portal/portal.hpp"
 #include "services/google/service.hpp"
 #include "transport/http_transport.hpp"
@@ -92,16 +94,21 @@ int main(int argc, char** argv) {
         "hit%%   throughput     mean    p95   (cache: auto representation)\n");
     for (int hit = 0; hit <= 100; hit += 25) {
       site.response_cache().clear();
-      portal::LoadConfig load;
-      load.concurrency = 4;
-      load.requests_per_client = 50;
-      load.hit_ratio = hit / 100.0;
-      load.hot_set_size = 8;
-      portal::LoadReport report =
-          portal::run_load_http(portal_server.base_url(), load);
-      std::printf("%3d%%  %9.0f/s  %6.2fms %6.2fms\n", hit,
-                  report.throughput_rps, report.mean_response_ms(),
-                  static_cast<double>(report.latency.percentile(0.95)) / 1e6);
+      portal::QueryMix mix;
+      mix.hit_ratio = hit / 100.0;
+      mix.hot_set_size = 8;
+      mix.warm(site);
+      http::LoadOptions load;
+      load.port = portal_server.port();
+      load.connections = 4;
+      load.warmup = std::chrono::milliseconds(50);
+      load.duration = std::chrono::milliseconds(250);
+      load.next_target = mix.targets();
+      http::LoadReport report = http::run_load(load);
+      std::printf("%3d%%  %9.0f/s  %6.2fms %6.2fms\n", hit, report.rps,
+                  report.latency_ns.mean() / 1e6,
+                  static_cast<double>(report.latency_ns.percentile(0.95)) /
+                      1e6);
     }
     std::printf("\nfinal cache state: %s\n",
                 site.response_cache().stats().to_string().c_str());

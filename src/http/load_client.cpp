@@ -29,6 +29,7 @@ struct ClientConn {
   TcpStream stream;
   ResponseParser parser;
   std::string pending;
+  std::string request;  // this request's bytes when next_target is set
 
   enum class State { Connecting, Idle, Sending, Receiving };
   State state = State::Connecting;
@@ -40,13 +41,8 @@ struct ClientConn {
 
 class LoadRun {
  public:
-  explicit LoadRun(const LoadOptions& options) : options_(options) {
-    Request request;
-    request.method = options_.method;
-    request.target = options_.target;
-    request.headers.set("Host", options_.host);
-    request.body = options_.body;
-    request_bytes_ = request.to_bytes();
+  explicit LoadRun(const LoadOptions& options)
+      : options_(options), request_bytes_(request_bytes(options_.target)) {
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0)
       throw TransportError(std::string("epoll_create1: ") +
@@ -129,6 +125,20 @@ class LoadRun {
   }
 
  private:
+  std::string request_bytes(const std::string& target) const {
+    Request request;
+    request.method = options_.method;
+    request.target = target;
+    request.headers.set("Host", options_.host);
+    request.body = options_.body;
+    return request.to_bytes();
+  }
+
+  std::string_view out_bytes(const ClientConn& conn) const {
+    return options_.next_target ? std::string_view(conn.request)
+                                : std::string_view(request_bytes_);
+  }
+
   void open_conn(std::size_t idx) {
     ClientConn& conn = conns_[idx];
     conn.parser = ResponseParser{};
@@ -173,20 +183,22 @@ class LoadRun {
     conn.state = ClientConn::State::Sending;
     conn.out_off = 0;
     conn.send_ts = measured_from;
+    if (options_.next_target)
+      conn.request = request_bytes(options_.next_target());
     continue_send(idx);
   }
 
   void continue_send(std::size_t idx) {
     ClientConn& conn = conns_[idx];
     try {
-      IoResult r = conn.stream.try_write(
-          std::string_view(request_bytes_).substr(conn.out_off));
+      const std::string_view out = out_bytes(conn);
+      IoResult r = conn.stream.try_write(out.substr(conn.out_off));
       if (r.closed) {
         fail_conn(idx);
         return;
       }
       conn.out_off += r.bytes;
-      if (r.would_block || conn.out_off < request_bytes_.size()) {
+      if (r.would_block || conn.out_off < out.size()) {
         set_interest(idx, EPOLLOUT);
         return;
       }
@@ -283,7 +295,7 @@ class LoadRun {
   }
 
   const LoadOptions& options_;
-  std::string request_bytes_;
+  std::string request_bytes_;  // every request's bytes without next_target
   int epoll_fd_ = -1;
   std::vector<ClientConn> conns_;
   std::deque<std::uint64_t> backlog_;  // open loop: due-but-unsent instants

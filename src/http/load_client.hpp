@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "util/histogram.hpp"
@@ -26,6 +27,11 @@ struct LoadOptions {
   std::string method = "GET";
   std::string target = "/";
   std::string body;
+  /// Per-request target.  When set, it is called on the load thread once
+  /// per request, in send order across all connections, and its result
+  /// replaces `target`; when empty, every request is the same prebuilt
+  /// bytes.
+  std::function<std::string()> next_target;
 
   std::chrono::milliseconds warmup{500};
   std::chrono::milliseconds duration{5'000};

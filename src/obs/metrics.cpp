@@ -36,29 +36,6 @@ std::string render_labels(const Labels& labels) {
   return out;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 const char* kind_name(MetricsRegistry::Kind kind) {
   switch (kind) {
     case MetricsRegistry::Kind::Counter: return "counter";
@@ -325,33 +302,6 @@ std::string MetricsRegistry::prometheus_text() const {
              format_value(sample.value) + "\n";
     }
   }
-  return out;
-}
-
-std::string MetricsRegistry::json_text() const {
-  std::string out = "{";
-  bool first_family = true;
-  for (const Export& e : gather()) {
-    if (e.samples.empty()) continue;
-    if (!first_family) out += ",";
-    first_family = false;
-    out += "\n  \"" + json_escape(e.meta.name) + "\": {\"type\": \"" +
-           kind_name(e.meta.kind) + "\", \"samples\": [";
-    for (std::size_t i = 0; i < e.samples.size(); ++i) {
-      const Sample& sample = e.samples[i];
-      if (i) out += ",";
-      out += "\n    {\"name\": \"" + json_escape(sample.name) +
-             "\", \"labels\": {";
-      for (std::size_t j = 0; j < sample.labels.size(); ++j) {
-        if (j) out += ", ";
-        out += "\"" + json_escape(sample.labels[j].first) + "\": \"" +
-               json_escape(sample.labels[j].second) + "\"";
-      }
-      out += "}, \"value\": " + format_value(sample.value) + "}";
-    }
-    out += "\n  ]}";
-  }
-  out += "\n}\n";
   return out;
 }
 

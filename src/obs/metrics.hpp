@@ -1,7 +1,6 @@
 // MetricsRegistry: named instruments over the system's existing telemetry
 // (CacheStats counters, RetryCounters, util::Histogram distributions, the
-// tracer's per-stage aggregates), exported as Prometheus text exposition
-// or JSON.
+// tracer's per-stage aggregates), exported as Prometheus text exposition.
 //
 // Instrument kinds:
 //   * Counter     — an owned monotonic windowed counter (exact lifetime
@@ -87,9 +86,6 @@ class MetricsRegistry {
 
   /// Prometheus text exposition format (version 0.0.4).
   std::string prometheus_text() const;
-
-  /// Same data as JSON: {"family": {"type": ..., "samples": [...]}}.
-  std::string json_text() const;
 
   /// Quantiles exported for Summary instruments.
   static const std::vector<double>& summary_quantiles();

@@ -6,6 +6,7 @@
 #include "obs/events.hpp"
 #include "obs/trace.hpp"
 #include "portal/query_string.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 #include "xml/escape.hpp"
 
@@ -181,6 +182,32 @@ http::Handler PortalSite::handler() {
     response.body = render_page(q->second);
     request_latency_->record(obs::now_ns() - t0);
     return response;
+  };
+}
+
+std::string QueryMix::hot_query(std::uint64_t k) const {
+  return "hot-" + std::to_string(seed) + "-" +
+         std::to_string(k % static_cast<std::uint64_t>(hot_set_size));
+}
+
+void QueryMix::warm(PortalSite& site) const {
+  for (int k = 0; k < hot_set_size; ++k)
+    site.render_page(hot_query(static_cast<std::uint64_t>(k)));
+}
+
+std::function<std::string()> QueryMix::targets() const {
+  if (hot_set_size < 1 || !(hit_ratio >= 0 && hit_ratio <= 1))
+    throw Error("QueryMix: invalid configuration");
+  return [mix = *this, sent = std::uint64_t{0},
+          hits = std::uint64_t{0}]() mutable {
+    ++sent;
+    // A hit whenever the running hit count falls below the target prefix.
+    const bool hit = static_cast<double>(hits) <
+                     mix.hit_ratio * static_cast<double>(sent) - 1e-9;
+    const std::string query =
+        hit ? mix.hot_query(hits++)
+            : "miss-" + std::to_string(mix.seed) + "-" + std::to_string(sent);
+    return "/portal?q=" + url_encode(query);
   };
 }
 

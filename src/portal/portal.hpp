@@ -2,13 +2,16 @@
 // from back-end Web-services calls made through the caching client
 // middleware.
 //
-//   load simulator --HTTP--> portal (this) --SOAP/HTTP--> dummy Google WS
+//   http::run_load + QueryMix --HTTP--> portal (this) --SOAP/HTTP--> dummy
+//                                                          Google WS
 //
 // GET /portal?q=<query> renders an HTML results page around one
 // doGoogleSearch call; the response cache in the middleware is what the
 // Figure 3/4 experiments measure.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -85,6 +88,27 @@ class PortalSite {
   obs::Summary* request_latency_ = nullptr;  // owned by *metrics_
   const http::ServerStats* server_stats_ = nullptr;  // attach_server()
   std::unique_ptr<services::google::GoogleClient> google_;
+};
+
+/// The closed-loop query mix of the Figure 3/4 runs (the IBM Web
+/// Performance Tool's script), as an http::LoadOptions::next_target hook.
+/// The hit ratio is exact, not stochastic: a hit names one of
+/// `hot_set_size` hot queries, which warm() stores before the measured
+/// window opens; a miss names a fresh query that never repeats.  Hits and
+/// misses interleave so that every prefix of n requests, across all
+/// connections, holds within 1 of hit_ratio * n hits.
+struct QueryMix {
+  double hit_ratio = 1.0;
+  int hot_set_size = 16;
+  std::uint64_t seed = 42;
+
+  /// Member `k % hot_set_size` of the hot set.
+  std::string hot_query(std::uint64_t k) const;
+  /// Render every hot-set page through `site`, so each one is cached.
+  void warm(PortalSite& site) const;
+  /// A fresh hook yielding "/portal?q=..." targets.  Throws wsc::Error on
+  /// a ratio outside [0, 1] or an empty hot set.
+  std::function<std::string()> targets() const;
 };
 
 }  // namespace wsc::portal

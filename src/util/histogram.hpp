@@ -1,4 +1,4 @@
-// Latency histogram for the portal load simulator (Figures 3 and 4).
+// Latency histogram for the load engine (Figures 3 and 4) and telemetry.
 //
 // Log-bucketed (HdrHistogram-style, base-2 with linear sub-buckets) so the
 // load generator records microsecond latencies with bounded memory and we

@@ -6,8 +6,8 @@
 #include <atomic>
 
 #include "http/client.hpp"
+#include "http/load_client.hpp"
 #include "http/server.hpp"
-#include "portal/load_sim.hpp"
 #include "portal/portal.hpp"
 #include "services/google/service.hpp"
 #include "services/google/stub.hpp"
@@ -87,7 +87,7 @@ TEST(EndToEndTest, WsdlServedContractMatchesRuntime) {
     EXPECT_NE(wsdl_doc.find(op), std::string::npos) << op;
 }
 
-TEST(EndToEndTest, PortalOverRealHttpWithLoadSimulator) {
+TEST(EndToEndTest, PortalOverRealHttpThroughLoadEngine) {
   FullStack stack;
   portal::PortalConfig config;
   config.backend_endpoint = stack.endpoint;
@@ -97,21 +97,27 @@ TEST(EndToEndTest, PortalOverRealHttpWithLoadSimulator) {
   http::HttpServer portal_server(0, site.handler());
   portal_server.start();
 
-  portal::LoadConfig load;
-  load.concurrency = 2;
-  load.requests_per_client = 20;
-  load.hit_ratio = 0.5;
-  load.hot_set_size = 4;
-  portal::LoadReport report =
-      portal::run_load_http(portal_server.base_url(), load);
-
-  EXPECT_EQ(report.requests, 40u);
-  EXPECT_GT(report.throughput_rps, 0.0);
-  // ~50% of measured requests hit (warmup seeded the hot set).
-  auto stats = site.response_cache().stats();
-  EXPECT_GT(stats.hits, 15u);
-  EXPECT_GT(stats.misses, 15u);
+  portal::QueryMix mix;
+  mix.hit_ratio = 0.5;
+  mix.hot_set_size = 4;
+  mix.warm(site);
+  const std::uint64_t warm_misses = site.response_cache().stats().misses;
+  http::LoadOptions load;
+  load.port = portal_server.port();
+  load.connections = 2;
+  load.warmup = std::chrono::milliseconds(20);
+  load.duration = std::chrono::milliseconds(200);
+  load.next_target = mix.targets();
+  http::LoadReport report = http::run_load(load);
   portal_server.stop();
+
+  EXPECT_EQ(report.connected, 2u);
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_GT(report.requests, 0u);
+  // Half the portal's requests hit the warmed hot set, half miss.
+  auto stats = site.response_cache().stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, warm_misses);
 }
 
 TEST(EndToEndTest, CacheControlFlowsFromServerToClientPolicy) {

@@ -92,23 +92,6 @@ TEST(MetricsTest, SummaryExportsQuantilesSumCount) {
   EXPECT_EQ(validate_prometheus_text(text), std::nullopt);
 }
 
-TEST(MetricsTest, JsonTextGolden) {
-  MetricsRegistry registry;
-  registry.counter("wsc_requests_total", "Requests served.", {{"op", "a"}})
-      .inc(3);
-  EXPECT_EQ(registry.json_text(),
-            "{\n"
-            "  \"wsc_requests_last60s\": {\"type\": \"gauge\", \"samples\": [\n"
-            "    {\"name\": \"wsc_requests_last60s\", \"labels\": "
-            "{\"op\": \"a\"}, \"value\": 3}\n"
-            "  ]},\n"
-            "  \"wsc_requests_total\": {\"type\": \"counter\", \"samples\": [\n"
-            "    {\"name\": \"wsc_requests_total\", \"labels\": "
-            "{\"op\": \"a\"}, \"value\": 3}\n"
-            "  ]}\n"
-            "}\n");
-}
-
 TEST(MetricsTest, CollectorSamplesFoldIntoDeclaredFamilies) {
   MetricsRegistry registry;
   registry.family("wsc_snap_total", "Snapshot counter.",
